@@ -4,9 +4,11 @@
 /// canonicalized requests. The ring's automorphism group D_n acts on
 /// demand graphs; requests whose demands are rotations/reflections of each
 /// other share one entry: the stored cover lives in the canonical frame
-/// and is mapped back through the group element on every hit (reusing
-/// canonical.hpp's rotate_cover/reflect_cover). All-to-all requests are
-/// D_n-invariant, so their key is just the scalar request fields.
+/// and every hit answers through the inverse of the request's group
+/// element — a pure vertex map, applied either to a copy (lookup) or
+/// while rendering the stored entry (the serve loop, via visit). All-to-
+/// all requests are D_n-invariant, so their key is just the scalar
+/// request fields.
 ///
 /// The cache is sharded: the key hash selects one of N independent
 /// shards, each with its own mutex and LRU list, so concurrent lookups
@@ -33,10 +35,19 @@ namespace ccov::engine {
 struct DihedralElement {
   bool reflect = false;
   std::uint32_t shift = 0;
+
+  /// g^{-1}(v) on the n-vertex ring (n > 0): takes a vertex of a stored
+  /// canonical-frame cover back into the request's own frame.
+  /// g = rot_s . refl^r, so g^{-1} = refl^r . rot_{-s}.
+  std::uint32_t unmap(std::uint32_t v, std::uint32_t n) const {
+    const std::uint32_t r = (v + n - shift % n) % n;
+    return reflect ? (n - r) % n : r;
+  }
 };
 
 /// Canonical cache key for a request plus the group element that realizes
-/// it. Exposed for tests; Engine users never need it directly.
+/// it. Computed once per request by whoever schedules it (Engine::run,
+/// BatchRunner, the serve loop) and passed down.
 struct CanonicalKey {
   std::string key;
   DihedralElement to_canonical;
@@ -50,8 +61,14 @@ CanonicalKey canonical_request_key(const CoverRequest& req);
 /// Apply `g` (respectively its inverse) to every vertex of a cover.
 covering::RingCover apply_element(const covering::RingCover& cover,
                                   const DihedralElement& g);
-covering::RingCover apply_inverse(const covering::RingCover& cover,
+covering::RingCover apply_inverse(covering::RingCover cover,
                                   const DihedralElement& g);
+
+/// What a cache hit on the stored canonical-frame `entry` answers to the
+/// request whose frame `g` maps onto the canonical one: the cover mapped
+/// back through g^{-1}, cache_hit = true, and nodes = elapsed_ms = 0
+/// (nothing was searched).
+CoverResponse hit_response(CoverResponse entry, const DihedralElement& g);
 
 class CoverCache {
  public:
@@ -74,18 +91,13 @@ class CoverCache {
     std::uint64_t evictions = 0;
   };
 
-  /// Look up a response for `req`. On a hit the response is returned in
-  /// the request's own frame with cache_hit = true and nodes = 0 (nothing
-  /// was searched). On a miss returns nullopt and counts it.
-  std::optional<CoverResponse> lookup(const CoverRequest& req);
+  /// Look up the request whose canonical key is `ck`. A hit is returned
+  /// as hit_response() in the request's own frame; a miss returns
+  /// nullopt and counts it.
+  std::optional<CoverResponse> lookup(const CanonicalKey& ck);
 
   /// Store a completed response (its cover is kept in the canonical
   /// frame). Only deterministic outcomes are cached — see should_cache.
-  void insert(const CoverRequest& req, const CoverResponse& resp);
-
-  /// Overloads taking a precomputed key, so a miss-then-insert round trip
-  /// canonicalizes the request only once (the Engine's hot path).
-  std::optional<CoverResponse> lookup(const CanonicalKey& ck);
   void insert(const CanonicalKey& ck, const CoverResponse& resp);
 
   /// The caching policy: positive results (ok && found) and deterministic
@@ -134,6 +146,15 @@ class CoverCache {
     fn(static_cast<const CoverResponse&>(it->second->resp),
        it->second->stamp);
     return true;
+  }
+
+  /// visit(), except that a miss is counted: the one probe a request
+  /// that computes on a miss makes.
+  template <typename Fn>
+  bool probe(const CanonicalKey& ck, Fn&& fn) {
+    if (visit(ck, std::forward<Fn>(fn))) return true;
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
 
  private:

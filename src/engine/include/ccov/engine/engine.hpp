@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "ccov/engine/cache.hpp"
 #include "ccov/engine/metrics.hpp"
@@ -20,16 +21,10 @@
 namespace ccov::engine {
 
 struct EngineOptions {
-  /// Serve repeated (D_n-equivalent) requests from the cache.
-  bool use_cache = true;
   /// Total LRU capacity of the cover cache, across all shards.
   std::size_t cache_capacity = 256;
   /// Lock-striped shards of the cover cache (clamped to the capacity).
   std::size_t cache_shards = CoverCache::kDefaultShards;
-  /// Threads in the shared pool; 0 selects hardware concurrency. The
-  /// pool is created on first use (Engine::pool), so engines that never
-  /// batch never spawn a thread.
-  std::size_t pool_threads = 0;
   /// Graceful degradation (`ccov serve --fallback greedy`): answer a
   /// deadline-expired exact solve with the greedy cover, flagged
   /// degraded:true — a valid (just non-minimal) protection cover beats
@@ -47,40 +42,32 @@ class Engine {
   /// names and invalid parameters come back as ok = false responses.
   CoverResponse run(const CoverRequest& req);
 
-  /// The engine's shared thread pool, created on first call and reused
-  /// for the engine's lifetime. Concurrent batches isolate themselves
-  /// with util::TaskGroup tokens.
+  /// As run(), with `req`'s canonical key computed once by the caller.
+  CoverResponse run(const CoverRequest& req, const CanonicalKey& ck);
+
+  /// The per-request unit every path shares. A cache hit calls
+  /// `on_hit(entry)` with the stored canonical-frame entry while its
+  /// shard is locked (don't stash the reference) and returns nullopt;
+  /// the caller answers it through ck.to_canonical, as hit_response()
+  /// does. Anything else — a miss, an error, a non-cacheable algorithm —
+  /// is computed and returned (and cached when cacheable).
+  template <typename OnHit>
+  std::optional<CoverResponse> answer(const CoverRequest& req,
+                                      const CanonicalKey& ck, OnHit&& on_hit) {
+    const Algorithm* algo = registry_.find(req.algorithm);
+    if (algo && algo->cacheable && req.n >= 3 &&
+        cache_.probe(ck, [&](const CoverResponse& entry, std::uint64_t) {
+          on_hit(entry);
+        }))
+      return std::nullopt;
+    return compute(req, algo, ck);
+  }
+
+  /// The engine's shared thread pool (hardware concurrency), created on
+  /// first call and reused for the engine's lifetime, so engines that
+  /// never batch never spawn a thread. Concurrent batches isolate
+  /// themselves with util::TaskGroup tokens.
   util::ThreadPool& pool();
-
-  /// Cache-hit fast path for serving loops: when the request is
-  /// cacheable, maps onto the canonical frame by the identity (so no
-  /// cover remap is needed) and is cached, invokes `fn` with the stored
-  /// entry — no deep copy of the cover — and returns true. The entry
-  /// differs from what run() would have returned only in the fields a
-  /// hit rewrites: cache_hit (stored false, reported true), nodes and
-  /// elapsed_ms (stored search cost, reported 0); callers must apply
-  /// those overrides themselves. Every other case returns false with
-  /// all counters untouched — falling back to run() then counts the
-  /// miss exactly once and yields identical bytes.
-  template <typename Fn>
-  bool run_cached(const CoverRequest& req, Fn&& fn) {
-    if (!opts_.use_cache || req.n < 3) return false;
-    const Algorithm* algo = registry_.find(req.algorithm);
-    if (!algo || !algo->cacheable) return false;
-    return run_cached_with_key(req, canonical_request_key(req),
-                               std::forward<Fn>(fn));
-  }
-
-  /// As run_cached(), but with the canonical key precomputed by the
-  /// caller — it is a pure function of the request, so hot loops memoize
-  /// it alongside the parsed request and skip rebuilding it per call.
-  template <typename Fn>
-  bool run_cached(const CoverRequest& req, const CanonicalKey& ck, Fn&& fn) {
-    if (!opts_.use_cache || req.n < 3) return false;
-    const Algorithm* algo = registry_.find(req.algorithm);
-    if (!algo || !algo->cacheable) return false;
-    return run_cached_with_key(req, ck, std::forward<Fn>(fn));
-  }
 
   const AlgorithmRegistry& registry() const { return registry_; }
   CoverCache& cache() { return cache_; }
@@ -94,13 +81,10 @@ class Engine {
   const MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  template <typename Fn>
-  bool run_cached_with_key(const CoverRequest& req, const CanonicalKey& ck,
-                           Fn&& fn) {
-    if (ck.to_canonical.reflect || ck.to_canonical.shift % req.n != 0)
-      return false;
-    return cache_.visit(ck, std::forward<Fn>(fn));
-  }
+  /// The miss path: validate, execute, validate the cover, time it and
+  /// insert it under `ck`. `algo` is null when the name is unknown.
+  CoverResponse compute(const CoverRequest& req, const Algorithm* algo,
+                        const CanonicalKey& ck);
 
   EngineOptions opts_;
   AlgorithmRegistry& registry_;

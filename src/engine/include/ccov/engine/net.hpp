@@ -48,11 +48,11 @@ bool parse_endpoint(const std::string& spec, std::string* host,
 /// ConnectionServer's constructor.
 void ignore_sigpipe();
 
-/// A bound, listening TCP socket. Throws std::runtime_error when the
-/// address cannot be resolved or bound.
+/// A bound, listening TCP socket (accept backlog 64). Throws
+/// std::runtime_error when the address cannot be resolved or bound.
 class TcpListener {
  public:
-  TcpListener(const std::string& host, std::uint16_t port, int backlog = 64);
+  TcpListener(const std::string& host, std::uint16_t port);
   ~TcpListener();
 
   TcpListener(const TcpListener&) = delete;
@@ -123,7 +123,7 @@ class ConnectionServer {
  public:
   using SessionFn = std::function<void(int client_fd, int wake_fd)>;
 
-  ConnectionServer(const std::string& host, std::uint16_t port, int backlog,
+  ConnectionServer(const std::string& host, std::uint16_t port,
                    std::size_t max_clients);
   ~ConnectionServer();
 

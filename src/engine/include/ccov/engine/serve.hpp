@@ -4,10 +4,9 @@
 /// one output line per input line, in input order. Compute requests are
 /// flat JSON objects ({"algo":"solve","n":8,...}); control verbs are
 /// {"op":"stats"|"save"|"clear"|"metrics"} and are dispatched through a
-/// ServeVerbRegistry (op string -> handler), the same self-registration
-/// shape as AlgorithmRegistry. See src/engine/README.md for the full
-/// protocol. The parser and renderers are exposed so tests can drive
-/// them without a process boundary.
+/// static table of the built-in verbs (find_serve_verb). See
+/// src/engine/README.md for the full protocol. The parser and renderers
+/// are exposed so tests can drive them without a process boundary.
 ///
 /// The protocol loop itself is parameterized over a transport: a
 /// ServeStream is any source/sink of newline-framed bytes —
@@ -18,17 +17,15 @@
 /// stdio responses for the same request stream. All front ends consume
 /// one ServeConfig, parsed once in the CLI.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
-#include <map>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "ccov/engine/engine.hpp"
 #include "ccov/engine/request.hpp"
-#include "ccov/util/thread_annotations.hpp"
 
 namespace ccov::engine {
 
@@ -79,11 +76,6 @@ struct ServeConfig {
   /// absolute deadline is fixed when the request is *accepted*, so time
   /// spent queued behind a batch counts against it.
   std::uint64_t default_deadline_ms = 0;
-  /// Graceful-degradation policy (`--fallback`): "" answers expired
-  /// exact solves with timed_out:true; "greedy" answers them with the
-  /// greedy cover flagged degraded:true. The CLI maps this onto
-  /// EngineOptions::fallback_greedy when constructing the engine.
-  std::string fallback;
   /// Server-wide cancellation token, cancelled by the SIGINT/SIGTERM
   /// handler. Sessions check it between lines and thread it into every
   /// request, so shutdown latency is bounded by the solver's ~4k-node
@@ -96,7 +88,6 @@ struct ServeConfig {
   /// Concurrent connections beyond this are refused with one in-band
   /// error (JSONL line on TCP, 503 on HTTP) and closed immediately.
   std::size_t max_clients = 64;
-  int backlog = 64;
 
   // --- HTTP front end ----------------------------------------------------
   /// Longest accepted request head (request line + headers).
@@ -115,13 +106,13 @@ struct ServeConfig {
 };
 
 // ---------------------------------------------------------------------------
-// Control-verb registry
+// Control verbs
 // ---------------------------------------------------------------------------
 
-/// Everything a control-verb handler may touch. Handlers run on the
-/// session's pipeline worker *after* the preceding requests flushed, so
-/// whatever they observe (cache stats, metrics) reflects exactly the
-/// requests that preceded them in the stream.
+/// Everything a control-verb handler may touch. Handlers run in flush
+/// order *after* the preceding requests were answered, so whatever they
+/// observe (cache stats, metrics) reflects exactly the requests that
+/// preceded them in the stream.
 struct ServeVerbContext {
   std::uint64_t id = 0;  ///< response id of the verb's input line
   Engine& engine;
@@ -131,40 +122,16 @@ struct ServeVerbContext {
 /// A named control verb: {"op":"<name>"} -> one rendered response line
 /// (no trailing newline). Handlers must not throw.
 struct ServeVerb {
-  std::string name;
-  std::string description;
-  std::function<std::string(const ServeVerbContext&)> run;
+  std::string_view name;
+  std::string_view description;
+  std::string (*run)(const ServeVerbContext&);
 };
 
-/// Thread-safe name -> ServeVerb map, mirroring AlgorithmRegistry:
-/// register once (from any TU), dispatch everywhere. Verbs are never
-/// removed, so find() results stay valid for the registry's lifetime.
-class ServeVerbRegistry {
- public:
-  /// Throws std::invalid_argument on an empty/duplicate name or a
-  /// missing run function.
-  void add(ServeVerb verb);
+/// The built-in verbs, sorted by name: clear, metrics, save, stats.
+extern const std::array<ServeVerb, 4> kServeVerbs;
 
-  /// nullptr when the name is unknown.
-  const ServeVerb* find(const std::string& name) const;
-
-  /// Registered names in sorted order — also the list parse errors cite.
-  std::vector<std::string> names() const;
-
-  std::size_t size() const;
-
-  /// The process-wide registry with the built-in verbs registered
-  /// (clear, metrics, save, stats).
-  static ServeVerbRegistry& global();
-
- private:
-  mutable util::Mutex mu_;
-  std::map<std::string, ServeVerb> verbs_ CCOV_GUARDED_BY(mu_);
-};
-
-/// Register the built-in control verbs into `reg`. Idempotent per
-/// registry; called automatically by ServeVerbRegistry::global().
-void register_builtin_verbs(ServeVerbRegistry& reg);
+/// The verb called `name`, or nullptr.
+const ServeVerb* find_serve_verb(std::string_view name);
 
 /// One parsed input line: either a cover request (verb == nullptr) or a
 /// resolved control verb.
@@ -201,7 +168,7 @@ class LineReader {
   std::size_t len_ = 0;
 };
 
-/// Parse one JSONL line against the global verb registry. Returns false
+/// Parse one JSONL line against the verb table. Returns false
 /// (and sets *error) on malformed JSON, unknown keys, out-of-domain
 /// values, or an unknown op (the error lists the valid ops); never
 /// throws.
@@ -221,10 +188,11 @@ std::string serve_stats_line(std::uint64_t id, const CoverCache& cache);
 
 /// Run the serve protocol over an arbitrary transport until
 /// end-of-stream. Emits exactly one response line per input line, in
-/// input order (blank lines are ignored). Batches are double-buffered:
-/// the session parses the next batch on the calling thread while a
-/// pipeline worker solves and writes the previous one, so reading and
-/// solving overlap for every transport. Returns 0; protocol-level
+/// input order (blank lines are ignored). Every batch goes through one
+/// flush routine on a util::OrderedPipeline: double-buffered (the next
+/// batch is parsed while a worker answers the previous one) unless the
+/// session is interactive (--batch 1 --jobs 1), which runs at depth 0 —
+/// on the calling thread, with no worker. Returns 0; protocol-level
 /// errors are reported in-band as {"ok":false,...} lines, and a dead
 /// peer ends the session without raising. Session, request, error and
 /// pipeline-depth counts feed engine.metrics().

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <unordered_map>
+#include <string_view>
+#include <unordered_set>
 
 #include "ccov/util/thread_pool.hpp"
 
@@ -14,38 +15,41 @@ BatchRunner::BatchRunner(Engine& engine, BatchOptions opts)
 
 std::vector<CoverResponse> BatchRunner::run(
     const std::vector<CoverRequest>& requests) {
+  std::vector<CanonicalKey> keys;
+  keys.reserve(requests.size());
+  for (const CoverRequest& req : requests)
+    keys.push_back(canonical_request_key(req));
   std::vector<CoverResponse> results(requests.size());
-  const auto run_one = [&](std::size_t i) {
-    try {
-      results[i] = engine_.run(requests[i]);
-    } catch (const std::exception& e) {
-      // Engine::run never throws by contract; belt-and-braces so one bad
-      // request can never take down a whole batch.
-      results[i].algorithm = requests[i].algorithm;
-      results[i].n = requests[i].n;
-      results[i].error = e.what();
-    }
-  };
-  if (opts_.jobs == 1 || requests.size() <= 1) {
-    for (std::size_t i = 0; i < requests.size(); ++i) run_one(i);
-    return results;
+  schedule(
+      requests.size(),
+      [&](std::size_t i) -> const std::string& { return keys[i].key; },
+      [&](std::size_t i) {
+        try {
+          results[i] = engine_.run(requests[i], keys[i]);
+        } catch (const std::exception& e) {
+          // Engine::run never throws by contract; belt-and-braces so one
+          // bad request can never take down a whole batch.
+          results[i].algorithm = requests[i].algorithm;
+          results[i].n = requests[i].n;
+          results[i].error = e.what();
+        }
+      });
+  return results;
+}
+
+void BatchRunner::schedule(
+    std::size_t count,
+    const std::function<const std::string&(std::size_t)>& key,
+    const std::function<void(std::size_t)>& unit) {
+  if (opts_.jobs == 1 || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) unit(i);
+    return;
   }
 
-  // Fan out only the first request of each canonical-key group; repeats
-  // run afterwards, in input order, against the then-warm cache. Serially
-  // they would have hit the cache too (nodes = 0, remapped frame), so the
-  // output stays byte-identical across every --jobs value even when a
-  // batch carries duplicate or D_n-equivalent requests.
   std::vector<std::size_t> primaries, repeats;
-  std::unordered_map<std::string, std::size_t> seen;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const std::string key = canonical_request_key(requests[i]).key;
-    if (seen.emplace(key, i).second) {
-      primaries.push_back(i);
-    } else {
-      repeats.push_back(i);
-    }
-  }
+  std::unordered_set<std::string_view> seen;
+  for (std::size_t i = 0; i < count; ++i)
+    (seen.insert(key(i)).second ? primaries : repeats).push_back(i);
 
   // Fan the primaries across the engine's shared pool: `jobs` pulling
   // workers bound the batch's concurrency even when the pool is larger,
@@ -61,12 +65,11 @@ std::vector<CoverResponse> BatchRunner::run(
       for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
            k < primaries.size();
            k = next.fetch_add(1, std::memory_order_relaxed))
-        run_one(primaries[k]);
+        unit(primaries[k]);
     });
   }
   group.wait();
-  for (const std::size_t i : repeats) run_one(i);
-  return results;
+  for (const std::size_t i : repeats) unit(i);
 }
 
 }  // namespace ccov::engine

@@ -105,13 +105,20 @@ covering::RingCover apply_element(const covering::RingCover& cover,
   return covering::rotate_cover(tmp, g.shift % cover.n);
 }
 
-covering::RingCover apply_inverse(const covering::RingCover& cover,
+covering::RingCover apply_inverse(covering::RingCover cover,
                                   const DihedralElement& g) {
-  if (cover.n == 0 || (!g.reflect && g.shift % cover.n == 0)) return cover;
-  // g = rot_s . refl^r, so g^{-1} = refl^r . rot_{-s}.
-  const covering::RingCover tmp = covering::rotate_cover(
-      cover, (cover.n - g.shift % cover.n) % cover.n);
-  return g.reflect ? covering::reflect_cover(tmp) : tmp;
+  if (cover.n == 0) return cover;
+  for (covering::Cycle& c : cover.cycles)
+    for (covering::Vertex& v : c) v = g.unmap(v, cover.n);
+  return cover;
+}
+
+CoverResponse hit_response(CoverResponse entry, const DihedralElement& g) {
+  if (entry.found) entry.cover = apply_inverse(std::move(entry.cover), g);
+  entry.cache_hit = true;
+  entry.nodes = 0;
+  entry.elapsed_ms = 0.0;
+  return entry;
 }
 
 CoverCache::CoverCache(std::size_t capacity, std::size_t shards)
@@ -130,36 +137,12 @@ CoverCache::Shard& CoverCache::shard_for(const std::string& key) {
   return shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-std::optional<CoverResponse> CoverCache::lookup(const CoverRequest& req) {
-  return lookup(canonical_request_key(req));
-}
-
 std::optional<CoverResponse> CoverCache::lookup(const CanonicalKey& ck) {
-  Shard& shard = shard_for(ck.key);
-  CoverResponse resp;
-  {
-    util::MutexLock lk(shard.mu);
-    const auto it = shard.index.find(ck.key);
-    if (it == shard.index.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // touch
-    resp = it->second->resp;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  // Map the canonical-frame cover back into the request's own frame.
-  // Skip the identity outright: apply_inverse would round-trip the
-  // whole cover through a by-value copy just to hand it back unchanged.
-  const DihedralElement& g = ck.to_canonical;
-  const bool identity =
-      !g.reflect && (resp.cover.n == 0 || g.shift % resp.cover.n == 0);
-  if (resp.found && !identity)
-    resp.cover = apply_inverse(resp.cover, g);
-  resp.cache_hit = true;
-  resp.nodes = 0;  // nothing was searched
-  resp.elapsed_ms = 0.0;
-  return resp;
+  std::optional<CoverResponse> entry;
+  if (!probe(ck, [&](const CoverResponse& e, std::uint64_t) { entry = e; }))
+    return std::nullopt;
+  // Remap outside the shard lock.
+  return hit_response(*std::move(entry), ck.to_canonical);
 }
 
 bool CoverCache::should_cache(const CoverResponse& resp) {
@@ -174,10 +157,6 @@ bool CoverCache::should_cache(const CoverResponse& resp) {
   // settled the instance — a bigger budget (or luckier parallel schedule)
   // could still answer, so only exhausted negatives are proofs.
   return resp.found || resp.exhausted;
-}
-
-void CoverCache::insert(const CoverRequest& req, const CoverResponse& resp) {
-  insert(canonical_request_key(req), resp);
 }
 
 void CoverCache::insert(const CanonicalKey& ck, const CoverResponse& resp) {

@@ -69,17 +69,29 @@ Engine::Engine(EngineOptions opts, AlgorithmRegistry& registry)
 
 util::ThreadPool& Engine::pool() {
   std::call_once(pool_once_, [this] {
-    pool_ = std::make_unique<util::ThreadPool>(opts_.pool_threads);
+    pool_ = std::make_unique<util::ThreadPool>();
   });
   return *pool_;
 }
 
 CoverResponse Engine::run(const CoverRequest& req) {
+  return run(req, canonical_request_key(req));
+}
+
+CoverResponse Engine::run(const CoverRequest& req, const CanonicalKey& ck) {
+  CoverResponse entry;
+  if (std::optional<CoverResponse> resp =
+          answer(req, ck, [&](const CoverResponse& e) { entry = e; }))
+    return *std::move(resp);
+  // Remap outside the shard lock.
+  return hit_response(std::move(entry), ck.to_canonical);
+}
+
+CoverResponse Engine::compute(const CoverRequest& req, const Algorithm* algo,
+                              const CanonicalKey& ck) {
   CoverResponse resp;
   resp.algorithm = req.algorithm;
   resp.n = req.n;
-
-  const Algorithm* algo = registry_.find(req.algorithm);
   if (!algo) {
     resp.error = "unknown algorithm '" + req.algorithm + "'";
     return resp;
@@ -87,13 +99,6 @@ CoverResponse Engine::run(const CoverRequest& req) {
   if (req.n < 3) {
     resp.error = "n must be >= 3";
     return resp;
-  }
-
-  const bool cacheable = opts_.use_cache && algo->cacheable;
-  CanonicalKey ck;
-  if (cacheable) {
-    ck = canonical_request_key(req);
-    if (auto hit = cache_.lookup(ck)) return *std::move(hit);
   }
 
   // Resolve a relative deadline_ms into an absolute deadline unless the
@@ -156,7 +161,7 @@ CoverResponse Engine::run(const CoverRequest& req) {
   }
   resp.elapsed_ms = timer.millis();
 
-  if (cacheable) cache_.insert(ck, resp);
+  if (algo->cacheable) cache_.insert(ck, resp);
   return resp;
 }
 

@@ -278,8 +278,7 @@ const char kEndpointsBody[] =
 HttpServer::HttpServer(Engine& engine, ServeConfig config)
     : engine_(engine),
       config_(std::move(config)),
-      server_(config_.host, config_.port, config_.backlog,
-              config_.max_clients),
+      server_(config_.host, config_.port, config_.max_clients),
       requests_(engine.metrics().counter(
           "ccov_http_requests_total",
           "HTTP requests parsed by the HTTP front end")),

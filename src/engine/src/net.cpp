@@ -34,7 +34,7 @@ bool parse_endpoint(const std::string&, std::string*, std::uint16_t*,
   return false;
 }
 void ignore_sigpipe() {}
-TcpListener::TcpListener(const std::string&, std::uint16_t, int) {
+TcpListener::TcpListener(const std::string&, std::uint16_t) {
   throw std::runtime_error("net: not supported on this platform");
 }
 TcpListener::~TcpListener() = default;
@@ -45,8 +45,8 @@ SocketStream::~SocketStream() = default;
 std::ptrdiff_t SocketStream::read_some(char*, std::size_t) { return -1; }
 bool SocketStream::write_all(const char*, std::size_t) { return false; }
 ConnectionServer::ConnectionServer(const std::string& host, std::uint16_t port,
-                                   int backlog, std::size_t max_clients)
-    : listener_(host, port, backlog), max_clients_(max_clients) {}
+                                   std::size_t max_clients)
+    : listener_(host, port), max_clients_(max_clients) {}
 ConnectionServer::~ConnectionServer() = default;
 int ConnectionServer::run(SessionFn, SessionFn) { return 1; }
 void ConnectionServer::shutdown() {}
@@ -54,8 +54,7 @@ void ConnectionServer::reap_finished(bool) {}
 ServeServer::ServeServer(Engine& engine, ServeConfig config)
     : engine_(engine),
       config_(std::move(config)),
-      server_(config_.host, config_.port, config_.backlog,
-              config_.max_clients) {}
+      server_(config_.host, config_.port, config_.max_clients) {}
 int ServeServer::run() { return 1; }
 void install_signal_shutdown(int, util::CancelToken*) {}
 #else
@@ -127,8 +126,7 @@ void ignore_sigpipe() { std::signal(SIGPIPE, SIG_IGN); }
 // TcpListener
 // ---------------------------------------------------------------------------
 
-TcpListener::TcpListener(const std::string& host, std::uint16_t port,
-                         int backlog) {
+TcpListener::TcpListener(const std::string& host, std::uint16_t port) {
   addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
   hints.ai_socktype = SOCK_STREAM;
@@ -149,7 +147,7 @@ TcpListener::TcpListener(const std::string& host, std::uint16_t port,
     const int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     if (::bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 &&
-        ::listen(fd, backlog) == 0) {
+        ::listen(fd, /*backlog=*/64) == 0) {
       // Non-blocking, so an accept() racing a peer that already reset
       // (poll said readable, the connection vanished) returns EAGAIN
       // instead of blocking the accept loop outside poll.
@@ -351,8 +349,8 @@ void on_shutdown_signal(int) {
 }  // namespace
 
 ConnectionServer::ConnectionServer(const std::string& host, std::uint16_t port,
-                                   int backlog, std::size_t max_clients)
-    : listener_(host, port, backlog), max_clients_(max_clients) {
+                                   std::size_t max_clients)
+    : listener_(host, port), max_clients_(max_clients) {
   ignore_sigpipe();
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) throw_errno("pipe");
@@ -446,8 +444,7 @@ int ConnectionServer::run(SessionFn session, SessionFn reject) {
 ServeServer::ServeServer(Engine& engine, ServeConfig config)
     : engine_(engine),
       config_(std::move(config)),
-      server_(config_.host, config_.port, config_.backlog,
-              config_.max_clients) {}
+      server_(config_.host, config_.port, config_.max_clients) {}
 
 int ServeServer::run() {
   return server_.run(

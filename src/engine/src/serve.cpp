@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <istream>
 #include <limits>
-#include <charconv>
-#include <memory>
+#include <optional>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -134,110 +132,76 @@ bool extract_request(const json::Value& obj, CoverRequest* req,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Control-verb registry
+// Control verbs
 // ---------------------------------------------------------------------------
 
-void ServeVerbRegistry::add(ServeVerb verb) {
-  if (verb.name.empty())
-    throw std::invalid_argument("serve verb name must not be empty");
-  if (!verb.run)
-    throw std::invalid_argument("serve verb '" + verb.name +
-                                "' has no run function");
-  util::MutexLock lk(mu_);
-  if (!verbs_.emplace(verb.name, std::move(verb)).second)
-    throw std::invalid_argument("duplicate serve verb '" + verb.name + "'");
+namespace {
+
+std::string run_clear(const ServeVerbContext& ctx) {
+  ctx.engine.cache().clear();
+  json::JsonWriter w;
+  w.begin_object()
+      .key("id").value(ctx.id)
+      .key("op").value_string("clear")
+      .key("ok").value(true)
+      .end_object();
+  return w.take();
 }
 
-const ServeVerb* ServeVerbRegistry::find(const std::string& name) const {
-  util::MutexLock lk(mu_);
-  const auto it = verbs_.find(name);
-  return it == verbs_.end() ? nullptr : &it->second;
+std::string run_metrics(const ServeVerbContext& ctx) {
+  json::JsonWriter w;
+  w.begin_object()
+      .key("id").value(ctx.id)
+      .key("op").value_string("metrics")
+      .key("ok").value(true)
+      .key("metrics").begin_object();
+  for (const auto& [name, value] : ctx.engine.metrics().snapshot())
+    w.key(name).value(value);
+  w.end_object().end_object();
+  return w.take();
 }
 
-std::vector<std::string> ServeVerbRegistry::names() const {
-  util::MutexLock lk(mu_);
-  std::vector<std::string> out;
-  out.reserve(verbs_.size());
-  for (const auto& [name, verb] : verbs_) out.push_back(name);
-  return out;
+std::string run_save(const ServeVerbContext& ctx) {
+  if (ctx.config.cache_file.empty())
+    return serve_error_line(ctx.id, "save: no --cache-file configured");
+  json::JsonWriter w;
+  w.begin_object()
+      .key("id").value(ctx.id)
+      .key("op").value_string("save");
+  try {
+    save_snapshot_file(ctx.config.cache_file, ctx.engine.cache());
+    w.key("ok").value(true)
+        .key("entries")
+        .value(static_cast<std::uint64_t>(ctx.engine.cache().size()));
+  } catch (const std::exception& e) {
+    // Disk failures (ENOSPC, EIO, a failed rename) come back as a
+    // structured save verdict, not a bare error line: the client learns
+    // both that its snapshot did NOT land and which file was involved.
+    w.key("ok").value(false).key("error").value_string(e.what());
+  }
+  w.key("file").value_string(ctx.config.cache_file).end_object();
+  return w.take();
 }
 
-std::size_t ServeVerbRegistry::size() const {
-  util::MutexLock lk(mu_);
-  return verbs_.size();
+std::string run_stats(const ServeVerbContext& ctx) {
+  return serve_stats_line(ctx.id, ctx.engine.cache());
 }
 
-ServeVerbRegistry& ServeVerbRegistry::global() {
-  static ServeVerbRegistry* reg = [] {
-    auto* r = new ServeVerbRegistry();
-    register_builtin_verbs(*r);
-    return r;
-  }();
-  return *reg;
-}
+}  // namespace
 
-void register_builtin_verbs(ServeVerbRegistry& reg) {
-  reg.add({"stats", "report cache size/capacity/shards and hit counters",
-           [](const ServeVerbContext& ctx) {
-             return serve_stats_line(ctx.id, ctx.engine.cache());
-           }});
-  reg.add({"save", "snapshot the store to the configured --cache-file",
-           [](const ServeVerbContext& ctx) -> std::string {
-             if (ctx.config.cache_file.empty())
-               return serve_error_line(ctx.id,
-                                       "save: no --cache-file configured");
-             try {
-               save_snapshot_file(ctx.config.cache_file, ctx.engine.cache());
-               json::JsonWriter w;
-               w.begin_object()
-                   .key("id").value(ctx.id)
-                   .key("op").value_string("save")
-                   .key("ok").value(true)
-                   .key("entries")
-                   .value(static_cast<std::uint64_t>(ctx.engine.cache().size()))
-                   .key("file").value_string(ctx.config.cache_file)
-                   .end_object();
-               return w.take();
-             } catch (const std::exception& e) {
-               // Disk failures (ENOSPC, EIO, a failed rename) come back
-               // as a structured save verdict, not a bare error line:
-               // the client learns both that its snapshot did NOT land
-               // and which file was involved.
-               json::JsonWriter w;
-               w.begin_object()
-                   .key("id").value(ctx.id)
-                   .key("op").value_string("save")
-                   .key("ok").value(false)
-                   .key("error").value_string(e.what())
-                   .key("file").value_string(ctx.config.cache_file)
-                   .end_object();
-               return w.take();
-             }
-           }});
-  reg.add({"clear", "empty the store",
-           [](const ServeVerbContext& ctx) {
-             ctx.engine.cache().clear();
-             json::JsonWriter w;
-             w.begin_object()
-                 .key("id").value(ctx.id)
-                 .key("op").value_string("clear")
-                 .key("ok").value(true)
-                 .end_object();
-             return w.take();
-           }});
-  reg.add({"metrics", "report every engine metric (cache, serve, solver)",
-           [](const ServeVerbContext& ctx) {
-             json::JsonWriter w;
-             w.begin_object()
-                 .key("id").value(ctx.id)
-                 .key("op").value_string("metrics")
-                 .key("ok").value(true)
-                 .key("metrics").begin_object();
-             for (const auto& [name, value] : ctx.engine.metrics().snapshot())
-               w.key(name).value(value);
-             w.end_object().end_object();
-             return w.take();
-           }});
+const std::array<ServeVerb, 4> kServeVerbs = {{
+    {"clear", "empty the store", run_clear},
+    {"metrics", "report every engine metric (cache, serve, solver)",
+     run_metrics},
+    {"save", "snapshot the store to the configured --cache-file", run_save},
+    {"stats", "report cache size/capacity/shards and hit counters",
+     run_stats},
+}};
+
+const ServeVerb* find_serve_verb(std::string_view name) {
+  for (const ServeVerb& verb : kServeVerbs)
+    if (verb.name == name) return &verb;
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -264,13 +228,13 @@ bool parse_serve_line(const std::string& line, ServeCommand* cmd,
       *error = "control verbs take no other fields";
       return false;
     }
-    const ServeVerb* verb = ServeVerbRegistry::global().find(val.string);
+    const ServeVerb* verb = find_serve_verb(val.string);
     if (!verb) {
       *error = "unknown control verb '" + val.string + "' (valid: ";
-      const std::vector<std::string> names =
-          ServeVerbRegistry::global().names();
-      for (std::size_t i = 0; i < names.size(); ++i)
-        *error += (i ? ", " : "") + names[i];
+      for (const ServeVerb& v : kServeVerbs) {
+        if (&v != &kServeVerbs.front()) *error += ", ";
+        *error += v.name;
+      }
       *error += ")";
       return false;
     }
@@ -285,13 +249,16 @@ bool parse_serve_line(const std::string& line, ServeCommand* cmd,
 namespace {
 
 /// Core renderer behind serve_response_line: appends the response object
-/// (no newline) to `w`, so hot loops can reuse one writer — and its
-/// buffer — across responses. `cache_hit`/`nodes` are taken as
-/// parameters rather than read off `resp` so the zero-copy cache path
-/// can render a stored entry with the overrides a hit applies.
+/// (no newline) to `w`. A non-null `hit` renders `resp` as a cache hit
+/// on a stored canonical-frame entry, answered to the request whose
+/// frame `hit` maps onto the canonical one: cache_hit:true, nodes:0,
+/// and every cover vertex mapped
+/// through hit->unmap — the vertex map apply_inverse applies, so the
+/// bytes equal those of the copied-and-remapped hit_response(), without
+/// the copy.
 void render_response_line(json::JsonWriter& w, std::uint64_t id,
-                          const CoverResponse& resp, bool cache_hit,
-                          std::uint64_t nodes) {
+                          const CoverResponse& resp,
+                          const DihedralElement* hit = nullptr) {
   // ~12 bytes per cover vertex ("nn," with brackets) on top of the fixed
   // fields: one right-sized allocation instead of log2(size) regrowths.
   std::size_t vertices = 0;
@@ -308,8 +275,8 @@ void render_response_line(json::JsonWriter& w, std::uint64_t id,
   }
   w.key("found").value(resp.found)
       .key("exhausted").value(resp.exhausted)
-      .key("nodes").value(nodes)
-      .key("cache_hit").value(cache_hit);
+      .key("nodes").value(hit ? 0 : resp.nodes)
+      .key("cache_hit").value(hit || resp.cache_hit);
   // Degradation flags render only when raised, keeping the bytes of
   // every ordinary response identical to pre-deadline builds (the
   // cross-transport byte-compare tests pin this).
@@ -318,30 +285,17 @@ void render_response_line(json::JsonWriter& w, std::uint64_t id,
   if (resp.shed) w.key("shed").value(true);
   if (resp.validated) w.key("valid").value(resp.valid);
   if (resp.found) {
+    const std::uint32_t n = resp.cover.n;
     w.key("cover").begin_array();
     for (const covering::Cycle& c : resp.cover.cycles) {
       w.begin_array();
-      for (std::size_t j = 0; j < c.size(); ++j)
-        w.value(static_cast<std::uint64_t>(c[j]));
+      for (const covering::Vertex v : c)
+        w.value(static_cast<std::uint64_t>(hit && n ? hit->unmap(v, n) : v));
       w.end_array();
     }
     w.end_array();
   }
   w.end_object();
-}
-
-void render_response_line(json::JsonWriter& w, std::uint64_t id,
-                          const CoverResponse& resp) {
-  render_response_line(w, id, resp, resp.cache_hit, resp.nodes);
-}
-
-void render_error_line(json::JsonWriter& w, std::uint64_t id,
-                       const std::string& error) {
-  w.begin_object()
-      .key("id").value(id)
-      .key("ok").value(false)
-      .key("error").value_string(error)
-      .end_object();
 }
 
 /// The in-band answer for a request whose deadline expired while it was
@@ -367,7 +321,11 @@ std::string serve_response_line(std::uint64_t id, const CoverResponse& resp) {
 
 std::string serve_error_line(std::uint64_t id, const std::string& error) {
   json::JsonWriter w;
-  render_error_line(w, id, error);
+  w.begin_object()
+      .key("id").value(id)
+      .key("ok").value(false)
+      .key("error").value_string(error)
+      .end_object();
   return w.take();
 }
 
@@ -500,12 +458,14 @@ class IostreamServeStream final : public ServeStream {
 
 int serve_session(ServeStream& raw_io, Engine& engine,
                   const ServeConfig& config) {
-  struct Pending {
+  /// One non-blank input line's place in the output.
+  struct Slot {
     std::uint64_t id = 0;
     bool is_request = false;
-    CoverRequest req;
-    std::string error;  ///< preformatted parse failure when !is_request
-    bool shed = false;  ///< deadline expired while queued (set at flush)
+    CoverRequest req{};
+    CanonicalKey ck{};                ///< computed once, on acceptance
+    const ServeVerb* verb = nullptr;  ///< a control verb, run at flush
+    std::string out{};  ///< the response; parse errors render on arrival
   };
 
   // Session metrics: resolved once (one map lookup each), updated with
@@ -525,7 +485,27 @@ int serve_session(ServeStream& raw_io, Engine& engine,
   m_sessions.add(1);
   m_active.add(1);
 
-  std::vector<Pending> pending;
+  // The per-request unit: shed-check, probe, then render the hit straight
+  // from the stored entry — or run, insert and render the computed
+  // response — into the request's own slot.
+  const auto answer = [&engine, &m_shed](Slot& s) {
+    json::JsonWriter w;
+    // Deadline-aware load shedding: a request whose deadline expired
+    // while it was queued is answered in-band without solving.
+    if (s.req.deadline.expired()) {
+      m_shed.add(1);
+      render_response_line(w, s.id, shed_response(s.req));
+    } else if (const std::optional<CoverResponse> resp = engine.answer(
+                   s.req, s.ck, [&](const CoverResponse& entry) {
+                     render_response_line(w, s.id, entry,
+                                          &s.ck.to_canonical);
+                   })) {
+      render_response_line(w, s.id, *resp);
+    }
+    s.out = w.take();
+  };
+
+  std::vector<Slot> pending;
   std::size_t pending_requests = 0;
   const std::size_t batch = std::max<std::size_t>(1, config.batch);
   BatchRunner runner(engine, {.jobs = config.jobs});
@@ -536,208 +516,53 @@ int serve_session(ServeStream& raw_io, Engine& engine,
   std::atomic<std::size_t> jobs_completed{0};
   std::size_t jobs_enqueued = 0;
   {
-    // Double-buffered flushes: one worker executes flush jobs strictly in
-    // order while this thread keeps reading and parsing the next batch.
-    // In-order execution keeps cache-state evolution — and therefore
-    // every output byte — identical to a synchronous loop; a job returns
-    // false when the peer is gone and the session tears down quietly.
-    util::OrderedPipeline pipeline(/*depth=*/2);
-
+    // Flush jobs execute strictly in order, which keeps cache-state
+    // evolution — and therefore every output byte — identical to a
+    // synchronous loop; a job returns false when the peer is gone and
+    // the session tears down quietly. Depth 2 double-buffers: one worker
+    // answers a batch while this thread reads and parses the next.
     // Interactive sessions (one request per flush, one solver thread)
-    // have nothing to overlap: the read-ahead the pipeline buys is an
-    // empty parse, and its thread handoff is pure added latency — about
-    // half the round trip on a co-located transport. Run those jobs
-    // inline on the reader thread instead; execution order (and thus
-    // every output byte) is the same either way.
-    const bool inline_jobs = config.jobs == 1 && batch == 1;
+    // have nothing to overlap — the thread handoff would be pure added
+    // latency — so they run at depth 0, every job on this thread.
+    util::OrderedPipeline pipeline(config.jobs == 1 && batch == 1 ? 0 : 2);
 
-    const auto enqueue_job = [&](std::function<bool()> job) {
-      if (inline_jobs) {
-        ++jobs_enqueued;
-        const bool ok = job();
-        jobs_completed.fetch_add(1, std::memory_order_relaxed);
-        return ok;
-      }
+    // The one flush routine: answers the buffered slots (requests through
+    // the BatchRunner's schedule, verbs after them) and writes the
+    // responses with one write.
+    const auto flush = [&]() -> bool {
+      if (pending.empty()) return true;
       m_depth.add(1);
       ++jobs_enqueued;
       const bool queued =
-          pipeline.enqueue([&m_depth, &jobs_completed, job = std::move(job)] {
-            const bool ok = job();
+          pipeline.enqueue([&, work = std::move(pending)]() mutable {
+            std::vector<Slot*> requests;
+            for (Slot& s : work)
+              if (s.is_request) requests.push_back(&s);
+            runner.schedule(
+                requests.size(),
+                [&](std::size_t k) -> const std::string& {
+                  return requests[k]->ck.key;
+                },
+                [&](std::size_t k) { answer(*requests[k]); });
+            std::string out;
+            for (Slot& s : work) {
+              if (s.verb) s.out = s.verb->run({s.id, engine, config});
+              out += s.out;
+              out += '\n';
+            }
+            const bool ok = io.write_all(out.data(), out.size()) && io.flush();
             jobs_completed.fetch_add(1, std::memory_order_relaxed);
             m_depth.add(-1);
             return ok;
           });
+      pending.clear();
+      pending_requests = 0;
       if (!queued) {
         // The pipeline refused the job (already dead): it will never run.
         m_depth.add(-1);
         --jobs_enqueued;
       }
       return queued;
-    };
-
-    // Solve the buffered batch and write its responses — executed on the
-    // pipeline worker, so the reader below is already parsing the next
-    // batch while this one searches. Jobs run strictly in order, which
-    // keeps cache-state evolution (and therefore every byte of output)
-    // identical to a synchronous loop.
-    // Reused across inline flushes so an interactive session allocates
-    // no per-request scaffolding (the buffers grow once and then stay
-    // put).
-    json::JsonWriter inline_w;
-    std::vector<CoverRequest> inline_requests;
-
-    // One-line parse memo for interactive sessions: a client hammering
-    // one hot request repeats the same bytes line after line, and both
-    // the parse and the canonical key are pure functions of those
-    // bytes. Capped so a stream of huge one-off lines isn't copied into
-    // the memo for nothing.
-    constexpr std::size_t kMemoMaxLine = 512;
-    std::string memo_line;
-    ServeCommand memo_cmd;
-    CanonicalKey memo_ck;
-    bool memo_valid = false;
-    // Rendered-response memo: a hit's bytes are a pure function of
-    // (id, stored entry), so everything after the id field can be
-    // replayed as long as the entry's stamp still matches — any
-    // store/import for the key issues a new stamp and re-renders.
-    std::string memo_tail;
-    std::uint64_t memo_stamp = 0;  // entry stamps start at 1
-    // Set for the request currently in `pending` when its canonical key
-    // is already known; consumed (and cleared) by the next flush.
-    const CanonicalKey* ck_hint = nullptr;
-
-    const auto enqueue_flush = [&]() -> bool {
-      if (pending.empty()) return true;
-      if (inline_jobs) {
-        // Inline fast path: no std::function, no shared_ptr handoff —
-        // render straight out of `pending` on this thread. Same
-        // execution order as the pipeline path, so identical bytes.
-        ++jobs_enqueued;
-        inline_w.clear();
-        // batch == 1 means `pending` holds exactly one entry; a cached
-        // identity-frame answer renders straight out of the cache with
-        // the hit overrides (cache_hit = true, nodes = 0) and skips the
-        // cover deep copy entirely.
-        const Pending& front = pending.front();
-        const CanonicalKey* ck = ck_hint;
-        ck_hint = nullptr;
-        const auto render_hit = [&](const CoverResponse& hit,
-                                    std::uint64_t stamp) {
-          if (stamp == memo_stamp && !memo_tail.empty()) {
-            // Same stored entry as the memoized render: replay the
-            // tail, only the id differs.
-            inline_w.value_raw("{\"id\":");
-            char buf[20];
-            const auto [end, ec] =
-                std::to_chars(buf, buf + sizeof buf, front.id);
-            (void)ec;
-            inline_w.value_raw(
-                std::string_view(buf, static_cast<std::size_t>(end - buf)));
-            inline_w.value_raw(memo_tail);
-            return;
-          }
-          const std::size_t start = inline_w.str().size();
-          render_response_line(inline_w, front.id, hit,
-                               /*cache_hit=*/true, /*nodes=*/0);
-          if (ck == &memo_ck) {
-            // Tail = everything from the comma after the id field on;
-            // capture it together with the stamp it derives from.
-            const std::string_view rendered =
-                std::string_view(inline_w.str()).substr(start);
-            const std::size_t comma = rendered.find(',');
-            if (comma != std::string_view::npos) {
-              memo_tail.assign(rendered.substr(comma));
-              memo_stamp = stamp;
-            }
-          }
-        };
-        if (pending.size() == 1 && front.is_request &&
-            (ck ? engine.run_cached(front.req, *ck, render_hit)
-                : engine.run_cached(front.req, render_hit))) {
-          inline_w.value_raw("\n");  // top level: appended verbatim
-        } else {
-          inline_requests.clear();
-          for (Pending& p : pending) {
-            if (!p.is_request) continue;
-            // Deadline-aware load shedding: a request whose deadline
-            // expired while queued is answered in-band without solving.
-            if (p.req.deadline.expired()) {
-              p.shed = true;
-              m_shed.add(1);
-            } else {
-              inline_requests.push_back(p.req);
-            }
-          }
-          const std::vector<CoverResponse> responses =
-              runner.run(inline_requests);
-          std::size_t k = 0;
-          for (const Pending& p : pending) {
-            if (!p.is_request)
-              render_error_line(inline_w, p.id, p.error);
-            else if (p.shed)
-              render_response_line(inline_w, p.id, shed_response(p.req));
-            else
-              render_response_line(inline_w, p.id, responses[k++]);
-            inline_w.value_raw("\n");
-          }
-        }
-        pending.clear();
-        pending_requests = 0;
-        const std::string& out = inline_w.str();
-        const bool ok = io.write_all(out.data(), out.size()) && io.flush();
-        jobs_completed.fetch_add(1, std::memory_order_relaxed);
-        return ok;
-      }
-      auto work = std::make_shared<std::vector<Pending>>(std::move(pending));
-      pending.clear();
-      pending_requests = 0;
-      return enqueue_job([&io, &runner, &m_shed, work] {
-        // The shed decision happens here, on the worker, at the moment
-        // the batch would start solving — exactly when the queue wait
-        // behind earlier flushes has been paid.
-        std::vector<CoverRequest> requests;
-        for (Pending& p : *work) {
-          if (!p.is_request) continue;
-          if (p.req.deadline.expired()) {
-            p.shed = true;
-            m_shed.add(1);
-          } else {
-            requests.push_back(p.req);
-          }
-        }
-        const std::vector<CoverResponse> responses = runner.run(requests);
-        std::string out;
-        std::size_t k = 0;
-        for (const Pending& p : *work) {
-          if (!p.is_request)
-            out += serve_error_line(p.id, p.error);
-          else if (p.shed)
-            out += serve_response_line(p.id, shed_response(p.req));
-          else
-            out += serve_response_line(p.id, responses[k++]);
-          out += "\n";
-        }
-        return io.write_all(out.data(), out.size()) && io.flush();
-      });
-    };
-
-    const auto enqueue_line_job = [&](std::function<std::string()> render) {
-      return enqueue_job([&io, render = std::move(render)] {
-        const std::string out = render() + "\n";
-        return io.write_all(out.data(), out.size()) && io.flush();
-      });
-    };
-
-    // Fix the absolute deadline the moment a request is accepted (queue
-    // wait counts against it) and attach the server's cancel token. The
-    // parse memo keeps the *wire* request; every accepted copy resolves
-    // its own deadline afresh.
-    const auto accept_request = [&config](CoverRequest* req) {
-      if (req->deadline_ms == 0) req->deadline_ms = config.default_deadline_ms;
-      if (req->deadline_ms > 0)
-        req->deadline = util::Deadline::after_ms(
-            static_cast<std::int64_t>(req->deadline_ms));
-      req->cancel = config.cancel;
     };
 
     LineReader reader(io, config.max_line_bytes);
@@ -751,64 +576,50 @@ int serve_session(ServeStream& raw_io, Engine& engine,
       if (config.cancel != nullptr && config.cancel->cancelled()) break;
       const LineReader::Result r = reader.next(&line);
       if (r == LineReader::Result::kEof) break;
-      if (r == LineReader::Result::kTooLong) {
+      if (r == LineReader::Result::kLine &&
+          line.find_first_not_of(" \t\r") == std::string::npos)
+        continue;
+      const std::uint64_t line_id = id++;
+      ServeCommand cmd;
+      std::string error;
+      if (r == LineReader::Result::kTooLong ||
+          !parse_serve_line(line, &cmd, &error)) {
+        if (r == LineReader::Result::kTooLong)
+          error = "line exceeds max line length (" +
+                  std::to_string(config.max_line_bytes) + " bytes)";
         m_errors.add(1);
         pending.push_back(
-            {id++, false, {},
-             "parse: line exceeds max line length (" +
-                 std::to_string(config.max_line_bytes) + " bytes)"});
-        if (pending.size() >= batch) alive = enqueue_flush();
-        continue;
-      }
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      ServeCommand cmd;
-      if (inline_jobs && memo_valid && line == memo_line) {
-        // Same bytes as the previous request: reuse the parsed request
-        // and canonical key (both pure functions of the line).
+            {.id = line_id, .out = serve_error_line(line_id, "parse: " + error)});
+        if (pending.size() >= batch) alive = flush();
+      } else if (cmd.is_request()) {
         m_requests.add(1);
-        pending.push_back({id++, true, memo_cmd.req, {}, false});
-        accept_request(&pending.back().req);
-        ++pending_requests;
-        ck_hint = &memo_ck;
-        alive = enqueue_flush();  // batch == 1: flush immediately
-        continue;
+        Slot& s = pending.emplace_back();
+        s.id = line_id;
+        s.is_request = true;
+        s.req = std::move(cmd.req);
+        // Fix the absolute deadline the moment the request is accepted
+        // (queue wait counts against it) and attach the server's cancel
+        // token.
+        if (s.req.deadline_ms == 0)
+          s.req.deadline_ms = config.default_deadline_ms;
+        if (s.req.deadline_ms > 0)
+          s.req.deadline = util::Deadline::after_ms(
+              static_cast<std::int64_t>(s.req.deadline_ms));
+        s.req.cancel = config.cancel;
+        s.ck = canonical_request_key(s.req);
+        if (++pending_requests >= batch) alive = flush();
+      } else {
+        // A control verb runs in a flush of its own, after the lines
+        // before it flushed: whatever it observes (cache stats, metrics)
+        // reflects exactly the requests that preceded it in the stream.
+        m_verbs.add(1);
+        alive = flush();
+        pending.push_back({.id = line_id, .verb = cmd.verb});
+        if (alive) alive = flush();
       }
-      std::string error;
-      if (!parse_serve_line(line, &cmd, &error)) {
-        m_errors.add(1);
-        pending.push_back({id++, false, {}, "parse: " + error});
-        if (pending.size() >= batch) alive = enqueue_flush();
-        continue;
-      }
-      if (cmd.is_request()) {
-        m_requests.add(1);
-        if (inline_jobs && line.size() <= kMemoMaxLine) {
-          memo_line = line;
-          memo_cmd = cmd;
-          memo_ck = canonical_request_key(cmd.req);
-          memo_valid = true;
-          ck_hint = &memo_ck;
-        }
-        pending.push_back({id++, true, std::move(cmd.req), {}, false});
-        accept_request(&pending.back().req);
-        ++pending_requests;
-        if (pending_requests >= batch) alive = enqueue_flush();
-        continue;
-      }
-      // Control verbs flush first, then render *inside* the pipeline
-      // job: the worker executes jobs in order, so whatever the handler
-      // observes (cache stats, metrics) reflects exactly the requests
-      // that preceded it in the stream.
-      m_verbs.add(1);
-      alive = enqueue_flush() &&
-              enqueue_line_job(
-                  [verb = cmd.verb, &engine, &config, verb_id = id] {
-                    return verb->run({verb_id, engine, config});
-                  });
-      ++id;
     }
     if (alive) {
-      enqueue_flush();
+      flush();
       pipeline.drain();
     }
   }  // ~OrderedPipeline joins the worker: no job runs past this point.

@@ -1,13 +1,15 @@
 #pragma once
 /// \file pipeline.hpp
-/// OrderedPipeline: a single worker thread that executes jobs strictly
-/// in submission order, with a bounded amount of read-ahead. The
-/// producer keeps going while the worker runs — enqueue only blocks
-/// once `depth` jobs are outstanding — which is exactly the
+/// OrderedPipeline: executes jobs strictly in submission order, with a
+/// bounded amount of read-ahead. At depth >= 1 a single worker thread
+/// runs the jobs and the producer keeps going while it does — enqueue
+/// only blocks once `depth` jobs are outstanding — which is exactly the
 /// double-buffering the serve loop uses to parse the next batch while
-/// the current one solves. A job returns false to poison the pipeline
-/// (e.g. the peer hung up): queued jobs are dropped and every later
-/// enqueue/drain reports dead, so the producer can stop cleanly.
+/// the current one solves. Depth 0 is the serial policy behind the same
+/// interface: no worker is spawned and enqueue runs each job on the
+/// caller's thread before returning. A job returns false to poison the
+/// pipeline (e.g. the peer hung up): queued jobs are dropped and every
+/// later enqueue/drain reports dead, so the producer can stop cleanly.
 
 #include <condition_variable>
 #include <cstddef>
@@ -22,7 +24,8 @@ namespace ccov::util {
 class OrderedPipeline {
  public:
   /// \p depth outstanding jobs (running + queued) before enqueue
-  /// blocks; 2 = classic double buffering (one running, one ready).
+  /// blocks; 2 = classic double buffering (one running, one ready),
+  /// 0 = run every job inline on the enqueuing thread.
   explicit OrderedPipeline(std::size_t depth = 2);
 
   /// Drains nothing: remaining queued jobs still execute (in order)
@@ -33,8 +36,9 @@ class OrderedPipeline {
   OrderedPipeline& operator=(const OrderedPipeline&) = delete;
 
   /// Queue a job behind the in-flight ones, blocking while the buffer
-  /// is full. Returns false once the pipeline is dead (a job returned
-  /// false or threw); the job is then not queued.
+  /// is full (at depth 0: run it now). Returns false once the pipeline
+  /// is dead (a job returned false or threw); the job is then not
+  /// queued.
   bool enqueue(std::function<bool()> job);
 
   /// Block until every queued job has run. Returns false if the
@@ -47,6 +51,8 @@ class OrderedPipeline {
   }
 
   void run();
+  /// Run one job; a job that returns false or throws kills the pipeline.
+  void execute(std::function<bool()>& job);
 
   const std::size_t depth_;
   Mutex mu_;
@@ -56,7 +62,7 @@ class OrderedPipeline {
   bool running_ CCOV_GUARDED_BY(mu_) = false;
   bool dead_ CCOV_GUARDED_BY(mu_) = false;
   bool stop_ CCOV_GUARDED_BY(mu_) = false;
-  std::thread worker_;
+  std::thread worker_;  ///< not started at depth 0
 };
 
 }  // namespace ccov::util

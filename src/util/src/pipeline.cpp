@@ -2,15 +2,16 @@
 
 #include "ccov/util/failpoint.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace ccov::util {
 
-OrderedPipeline::OrderedPipeline(std::size_t depth)
-    : depth_(std::max<std::size_t>(1, depth)), worker_([this] { run(); }) {}
+OrderedPipeline::OrderedPipeline(std::size_t depth) : depth_(depth) {
+  if (depth_ > 0) worker_ = std::thread([this] { run(); });
+}
 
 OrderedPipeline::~OrderedPipeline() {
+  if (!worker_.joinable()) return;
   {
     MutexLock lk(mu_);
     stop_ = true;
@@ -25,6 +26,14 @@ bool OrderedPipeline::enqueue(std::function<bool()> job) {
   // never "failed" — ordering guarantees would be meaningless if jobs
   // could vanish — so an error spec is deliberately ignored.
   (void)CCOV_FAILPOINT("pipeline_submit");
+  if (depth_ == 0) {
+    {
+      MutexLock lk(mu_);
+      if (dead_) return false;
+    }
+    execute(job);
+    return true;
+  }
   MutexLock lk(mu_);
   while (!dead_ && outstanding() >= depth_) space_cv_.wait(mu_);
   if (dead_) return false;
@@ -39,11 +48,25 @@ bool OrderedPipeline::drain() {
   return !dead_;
 }
 
+void OrderedPipeline::execute(std::function<bool()>& job) {
+  bool ok = false;
+  try {
+    ok = job();
+  } catch (...) {
+    ok = false;
+  }
+  if (!ok) {
+    MutexLock lk(mu_);
+    dead_ = true;
+    queue_.clear();
+  }
+}
+
 void OrderedPipeline::run() {
   // Two scoped critical sections per iteration instead of one lock
   // juggled with unlock()/lock() around the job: the thread-safety
   // analysis can prove each section, and the job provably runs
-  // unlocked. Lock hand-off points are identical to the old code.
+  // unlocked.
   for (;;) {
     std::function<bool()> job;
     {
@@ -54,19 +77,10 @@ void OrderedPipeline::run() {
       queue_.pop_front();
       running_ = true;
     }
-    bool ok = false;
-    try {
-      ok = job();
-    } catch (...) {
-      ok = false;
-    }
+    execute(job);
     {
       MutexLock lk(mu_);
       running_ = false;
-      if (!ok) {
-        dead_ = true;
-        queue_.clear();
-      }
     }
     space_cv_.notify_all();
   }

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -25,7 +26,9 @@
 #include "ccov/engine/serve.hpp"
 #include "ccov/engine/store.hpp"
 #include "ccov/extensions/lambda_cover.hpp"
+#include "ccov/graph/generators.hpp"
 #include "ccov/util/failpoint.hpp"
+#include "ccov/util/json.hpp"
 #include "ccov/util/prng.hpp"
 
 namespace eng = ccov::engine;
@@ -38,6 +41,10 @@ eng::CoverRequest make_req(const std::string& algo, std::uint32_t n) {
   req.algorithm = algo;
   req.n = n;
   return req;
+}
+
+eng::CanonicalKey key_of(const std::string& algo, std::uint32_t n) {
+  return eng::canonical_request_key(make_req(algo, n));
 }
 
 std::string rows_of(const std::vector<eng::CoverResponse>& responses) {
@@ -89,7 +96,7 @@ TEST(Registry, RejectsDuplicateAndAnonymous) {
 }
 
 TEST(Registry, EveryBuiltinProducesACoverFor9) {
-  eng::Engine engine({.use_cache = false});
+  eng::Engine engine;
   for (const auto& name : engine.registry().names()) {
     const auto resp = engine.run(make_req(name, 9));
     EXPECT_TRUE(resp.ok) << name << ": " << resp.error;
@@ -172,17 +179,17 @@ TEST(CoverCache, WarmSolveHitSkipsTheSearch) {
 
 TEST(CoverCache, CountsHitsAndMisses) {
   eng::CoverCache cache(8);
-  eng::CoverRequest req = make_req("construct", 9);
-  EXPECT_FALSE(cache.lookup(req).has_value());
+  const eng::CanonicalKey key = key_of("construct", 9);
+  EXPECT_FALSE(cache.lookup(key).has_value());
   eng::CoverResponse resp;
   resp.ok = true;
   resp.found = true;
   resp.algorithm = "construct";
   resp.n = 9;
   resp.cover = cov::build_optimal_cover(9);
-  cache.insert(req, resp);
-  EXPECT_TRUE(cache.lookup(req).has_value());
-  EXPECT_FALSE(cache.lookup(make_req("construct", 11)).has_value());
+  cache.insert(key, resp);
+  EXPECT_TRUE(cache.lookup(key).has_value());
+  EXPECT_FALSE(cache.lookup(key_of("construct", 11)).has_value());
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
@@ -201,23 +208,23 @@ TEST(CoverCache, EvictsLeastRecentlyUsedAtCapacity) {
     resp.cover = cov::build_optimal_cover(n);
     return resp;
   };
-  cache.insert(make_req("construct", 5), mk_resp(5));
-  cache.insert(make_req("construct", 7), mk_resp(7));
+  cache.insert(key_of("construct", 5), mk_resp(5));
+  cache.insert(key_of("construct", 7), mk_resp(7));
   // Touch n=5 so n=7 is the LRU entry, then overflow.
-  EXPECT_TRUE(cache.lookup(make_req("construct", 5)).has_value());
-  cache.insert(make_req("construct", 9), mk_resp(9));
+  EXPECT_TRUE(cache.lookup(key_of("construct", 5)).has_value());
+  cache.insert(key_of("construct", 9), mk_resp(9));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.lookup(make_req("construct", 5)).has_value());
-  EXPECT_TRUE(cache.lookup(make_req("construct", 9)).has_value());
-  EXPECT_FALSE(cache.lookup(make_req("construct", 7)).has_value());
+  EXPECT_TRUE(cache.lookup(key_of("construct", 5)).has_value());
+  EXPECT_TRUE(cache.lookup(key_of("construct", 9)).has_value());
+  EXPECT_FALSE(cache.lookup(key_of("construct", 7)).has_value());
 }
 
 TEST(CoverCache, FailedResponsesAreNotCached) {
   eng::CoverCache cache(4);
   eng::CoverResponse bad;
   bad.ok = false;
-  cache.insert(make_req("construct", 9), bad);
+  cache.insert(key_of("construct", 9), bad);
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -337,8 +344,7 @@ TEST(CoverCache, ShardedHitsBackMapAcrossRandomDihedralElements) {
   // that covers the transformed demand.
   const std::uint32_t n = 11;
   ccov::util::Xoshiro256 rng(0xC0FFEEu);
-  eng::Engine engine({.use_cache = true, .cache_capacity = 64,
-                      .cache_shards = 8});
+  eng::Engine engine({.cache_capacity = 64, .cache_shards = 8});
   ASSERT_EQ(engine.cache().shard_count(), 8u);
 
   int hits_checked = 0;
@@ -395,17 +401,16 @@ TEST(CoverCache, ConcurrentLookupsKeepAggregateStatsConsistent) {
   // dependent) hash piles every key onto one shard, so no insert can
   // evict and the arithmetic below is exact everywhere.
   eng::CoverCache cache(128, 8);
-  std::vector<eng::CoverRequest> reqs;
+  std::vector<eng::CanonicalKey> keys;
   for (std::uint32_t n = 3; n <= 18; ++n) {
-    eng::CoverRequest req = make_req("construct", n);
     eng::CoverResponse resp;
     resp.ok = true;
     resp.found = true;
     resp.n = n;
     resp.algorithm = "construct";
     resp.cover = cov::build_optimal_cover(n);
-    cache.insert(req, resp);
-    reqs.push_back(req);
+    keys.push_back(key_of("construct", n));
+    cache.insert(keys.back(), resp);
   }
   ASSERT_EQ(cache.size(), 16u);
   const auto baseline = cache.stats();
@@ -417,15 +422,15 @@ TEST(CoverCache, ConcurrentLookupsKeepAggregateStatsConsistent) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int round = 0; round < kRounds; ++round) {
-        for (const auto& req : reqs) EXPECT_TRUE(cache.lookup(req));
-        EXPECT_FALSE(cache.lookup(make_req("construct", 99)));
+        for (const auto& key : keys) EXPECT_TRUE(cache.lookup(key));
+        EXPECT_FALSE(cache.lookup(key_of("construct", 99)));
       }
     });
   }
   for (auto& t : threads) t.join();
 
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits - baseline.hits, kThreads * kRounds * reqs.size());
+  EXPECT_EQ(stats.hits - baseline.hits, kThreads * kRounds * keys.size());
   EXPECT_EQ(stats.misses - baseline.misses,
             static_cast<std::uint64_t>(kThreads * kRounds));
 }
@@ -913,34 +918,23 @@ TEST(Serve, ParsesComputeRequestsAndControlVerbs) {
 }
 
 TEST(Serve, RegistryListsBuiltinVerbsSorted) {
-  const auto& reg = eng::ServeVerbRegistry::global();
-  EXPECT_GE(reg.size(), 4u);
-  const std::vector<std::string> names = reg.names();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  for (const char* expected : {"clear", "metrics", "save", "stats"}) {
-    const eng::ServeVerb* verb = reg.find(expected);
-    ASSERT_NE(verb, nullptr) << expected;
-    EXPECT_EQ(verb->name, expected);
-    EXPECT_FALSE(verb->description.empty());
+  std::vector<std::string_view> names;
+  for (const eng::ServeVerb& verb : eng::kServeVerbs) {
+    names.push_back(verb.name);
+    EXPECT_FALSE(verb.description.empty()) << verb.name;
+    EXPECT_NE(verb.run, nullptr) << verb.name;
+    EXPECT_EQ(eng::find_serve_verb(verb.name), &verb);
   }
-  EXPECT_EQ(reg.find("no-such-verb"), nullptr);
-}
-
-TEST(Serve, RegistryRejectsDuplicatesAndMalformedVerbs) {
-  eng::ServeVerbRegistry reg;
-  reg.add({"ping", "test verb",
-           [](const eng::ServeVerbContext&) { return std::string("{}"); }});
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_THROW(
-      reg.add({"ping", "again",
-               [](const eng::ServeVerbContext&) { return std::string(); }}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      reg.add({"", "empty name",
-               [](const eng::ServeVerbContext&) { return std::string(); }}),
-      std::invalid_argument);
-  EXPECT_THROW(reg.add({"norun", "missing handler", nullptr}),
-               std::invalid_argument);
+  EXPECT_EQ(names, (std::vector<std::string_view>{"clear", "metrics", "save",
+                                                  "stats"}));
+  EXPECT_EQ(eng::find_serve_verb("no-such-verb"), nullptr);
+  // Parse errors cite the table in the same sorted order.
+  eng::ServeCommand cmd;
+  std::string error;
+  EXPECT_FALSE(eng::parse_serve_line(R"({"op":"ping"})", &cmd, &error));
+  EXPECT_NE(error.find("(valid: clear, metrics, save, stats)"),
+            std::string::npos)
+      << error;
 }
 
 TEST(Serve, RejectsMalformedLines) {
@@ -977,8 +971,8 @@ TEST(Serve, RejectsMalformedLines) {
 namespace {
 
 std::string run_serve(const std::string& input, std::size_t jobs,
-                      std::size_t batch) {
-  eng::Engine engine;
+                      std::size_t batch, eng::EngineOptions engine_opts = {}) {
+  eng::Engine engine(engine_opts);
   eng::ServeConfig opts;
   opts.jobs = jobs;
   opts.batch = batch;
@@ -988,9 +982,54 @@ std::string run_serve(const std::string& input, std::size_t jobs,
   return out.str();
 }
 
+/// Every cover in `output` (one response line per line of `input`) must
+/// cover the demand of its own input line: its explicit chords, or K_n.
+void expect_covers_valid(const std::string& input, const std::string& output) {
+  std::istringstream in(input), out(output);
+  std::string request, response;
+  int checked = 0;
+  while (std::getline(in, request) && std::getline(out, response)) {
+    ccov::util::json::Value root;
+    std::string error;
+    ASSERT_TRUE(ccov::util::json::Reader(response).parse(&root, &error))
+        << error;
+    const ccov::util::json::Value* cover = nullptr;
+    for (const auto& [key, value] : root.object)
+      if (key == "cover") cover = &value;
+    if (cover == nullptr) continue;
+    eng::ServeCommand cmd;
+    ASSERT_TRUE(eng::parse_serve_line(request, &cmd, &error)) << error;
+    cov::RingCover rc;
+    rc.n = cmd.req.n;
+    for (const auto& cycle : cover->array) {
+      cov::Cycle c;
+      for (const auto& v : cycle.array)
+        c.push_back(static_cast<cov::Vertex>(v.integer));
+      rc.cycles.push_back(std::move(c));
+    }
+    const ccov::graph::Graph demand =
+        cmd.req.demand.empty()
+            ? ccov::graph::complete_graph(cmd.req.n)
+            : eng::demand_graph(cmd.req.n, cmd.req.demand);
+    EXPECT_TRUE(cov::validate_cover_against(rc, demand).ok) << response;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
+}
+
 }  // namespace
 
 TEST(Serve, LoopIsIndexAlignedAndByteIdenticalAcrossJobs) {
+  // A demand line longer than 512 bytes: 80 distinct chords on n = 40.
+  std::string long_demand = R"({"algo":"greedy","n":40,"demand":[)";
+  for (std::uint32_t step : {7u, 13u})
+    for (std::uint32_t i = 0; i < 40; ++i)
+      long_demand += (i || step != 7 ? "," : "") + std::string("[") +
+                     std::to_string(i) + "," + std::to_string((i + step) % 40) +
+                     "]";
+  long_demand += "]}";
+  ASSERT_GT(long_demand.size(), 512u);
+
   const std::string input =
       R"({"algo":"construct","n":9})"
       "\n"
@@ -1006,13 +1045,19 @@ TEST(Serve, LoopIsIndexAlignedAndByteIdenticalAcrossJobs) {
       R"({"op":"stats"})"
       "\n"
       R"({"algo":"no-such-algo","n":9})"
-      "\n";
+      "\n"
+      R"({"algo":"greedy","n":9,"demand":[[1,7],[0,6],[8,3]]})"
+      "\n"  // reflected, then rotated by 1: a hit in a mirrored frame
+      R"({"algo":"greedy","n":9,"demand":[[1,7],[0,6],[8,3]]})"
+      "\n"  // an exact repeat of the previous line
+      + long_demand + "\n" + long_demand + "\n";
 
   const std::string serial = run_serve(input, 1, 1);
   const std::string batched = run_serve(input, 4, 8);
   const std::string hw = run_serve(input, 0, 4);
   EXPECT_EQ(serial, batched);
   EXPECT_EQ(serial, hw);
+  expect_covers_valid(input, serial);
 
   // One response line per input line, ids in input order.
   std::istringstream lines(serial);
@@ -1023,7 +1068,7 @@ TEST(Serve, LoopIsIndexAlignedAndByteIdenticalAcrossJobs) {
     EXPECT_EQ(line.rfind(prefix, 0), 0u) << line;
     ++expect_id;
   }
-  EXPECT_EQ(expect_id, 8u);
+  EXPECT_EQ(expect_id, 12u);
 
   // The D_n-equivalent greedy repeat and the duplicate construct were
   // served from the cache without any search.
@@ -1036,6 +1081,33 @@ TEST(Serve, LoopIsIndexAlignedAndByteIdenticalAcrossJobs) {
   EXPECT_NE(serial.find("\"id\":6,\"op\":\"stats\",\"ok\":true"),
             std::string::npos);
   EXPECT_NE(serial.find("\"id\":7,\"ok\":false"), std::string::npos);
+  // The reflected image, its repeat and the long line's repeat were hits.
+  for (int hit_id : {8, 9, 11})
+    EXPECT_NE(serial.find("\"id\":" + std::to_string(hit_id) +
+                          ",\"ok\":true,\"algo\":\"greedy\",\"n\":" +
+                          (hit_id == 11 ? "40" : "9") +
+                          ",\"found\":true,\"exhausted\":false,"
+                          "\"nodes\":0,\"cache_hit\":true"),
+              std::string::npos)
+        << hit_id << "\n" << serial;
+}
+
+TEST(Serve, EvictionInsideOneFlushMatchesTheInteractiveLoop) {
+  // One cache slot: n=9 evicts n=7, so the third line must search again
+  // — in the same flush as the insert that evicted it, too.
+  const std::string input =
+      "{\"algo\":\"solve\",\"n\":7}\n"
+      "{\"algo\":\"solve\",\"n\":9}\n"
+      "{\"algo\":\"solve\",\"n\":7}\n";
+  const eng::EngineOptions one_slot{.cache_capacity = 1};
+  const std::string interactive = run_serve(input, 1, 1, one_slot);
+  EXPECT_EQ(interactive, run_serve(input, 1, 8, one_slot));
+  std::istringstream lines(interactive);
+  std::string line;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line.rfind("{\"id\":2,", 0), 0u) << line;
+  EXPECT_NE(line.find("\"cache_hit\":false"), std::string::npos) << line;
+  EXPECT_EQ(line.find("\"nodes\":0,"), std::string::npos) << line;
 }
 
 TEST(Serve, SaveVerbPersistsAndWarmStartsTheNextLoop) {

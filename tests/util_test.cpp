@@ -311,20 +311,29 @@ TEST(ThreadPool, ConcurrentParallelForCallersAreIsolated) {
   pool.wait_idle();  // the pool itself is still healthy
 }
 
+// Every OrderedPipeline behaviour holds at depth 0 too, where no worker
+// exists and each job runs inline on the enqueuing thread.
+
 TEST(OrderedPipeline, RunsJobsStrictlyInSubmissionOrder) {
-  cu::OrderedPipeline pipe(2);
-  std::vector<int> order;
-  std::mutex mu;
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(pipe.enqueue([i, &order, &mu] {
-      std::lock_guard<std::mutex> lk(mu);
-      order.push_back(i);
-      return true;
-    }));
+  for (const std::size_t depth : {2u, 0u}) {
+    cu::OrderedPipeline pipe(depth);
+    std::vector<int> order;
+    std::vector<std::thread::id> ran_on;
+    std::mutex mu;
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(pipe.enqueue([i, &order, &ran_on, &mu] {
+        std::lock_guard<std::mutex> lk(mu);
+        order.push_back(i);
+        ran_on.push_back(std::this_thread::get_id());
+        return true;
+      }));
+    }
+    ASSERT_TRUE(pipe.drain());
+    ASSERT_EQ(order.size(), 50u) << depth;
+    for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i) << depth;
+    for (const std::thread::id id : ran_on)
+      EXPECT_EQ(id == std::this_thread::get_id(), depth == 0) << depth;
   }
-  ASSERT_TRUE(pipe.drain());
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(OrderedPipeline, ProducerOverlapsWithTheRunningJob) {
@@ -347,43 +356,66 @@ TEST(OrderedPipeline, ProducerOverlapsWithTheRunningJob) {
   release.set_value();
   ASSERT_TRUE(pipe.drain());
   EXPECT_EQ(done.load(), 2);
+
+  // Depth 0 overlaps nothing: each job has finished, on this thread, by
+  // the time enqueue returns.
+  cu::OrderedPipeline serial(0);
+  int ran = 0;
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(serial.enqueue([&ran, caller = std::this_thread::get_id()] {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ran++;
+      return true;
+    }));
+    EXPECT_EQ(ran, i);
+  }
 }
 
 TEST(OrderedPipeline, FailingJobPoisonsThePipeline) {
-  cu::OrderedPipeline pipe(2);
-  std::atomic<int> ran{0};
-  ASSERT_TRUE(pipe.enqueue([&ran] {
-    ran++;
-    return false;  // peer gone
-  }));
-  // Eventually enqueue starts reporting dead; queued-but-unrun jobs are
-  // dropped and drain reports the failure.
-  while (pipe.enqueue([&ran] {
-    ran++;
-    return true;
-  })) {
+  for (const std::size_t depth : {2u, 0u}) {
+    cu::OrderedPipeline pipe(depth);
+    std::atomic<int> ran{0};
+    ASSERT_TRUE(pipe.enqueue([&ran] {
+      ran++;
+      return false;  // peer gone
+    }));
+    // Eventually enqueue starts reporting dead; queued-but-unrun jobs are
+    // dropped and drain reports the failure.
+    while (pipe.enqueue([&ran] {
+      ran++;
+      return true;
+    })) {
+    }
+    EXPECT_FALSE(pipe.drain()) << depth;
+    EXPECT_FALSE(pipe.enqueue([] { return true; })) << depth;
+    if (depth == 0) {
+      EXPECT_EQ(ran.load(), 1);  // dead at once: nothing more ran
+    }
   }
-  EXPECT_FALSE(pipe.drain());
-  EXPECT_FALSE(pipe.enqueue([] { return true; }));
 }
 
 TEST(OrderedPipeline, ThrowingJobCountsAsFailure) {
-  cu::OrderedPipeline pipe(1);
-  ASSERT_TRUE(pipe.enqueue([]() -> bool { throw std::runtime_error("boom"); }));
-  EXPECT_FALSE(pipe.drain());
+  for (const std::size_t depth : {1u, 0u}) {
+    cu::OrderedPipeline pipe(depth);
+    ASSERT_TRUE(
+        pipe.enqueue([]() -> bool { throw std::runtime_error("boom"); }));
+    EXPECT_FALSE(pipe.drain()) << depth;
+  }
 }
 
 TEST(OrderedPipeline, DestructorRunsTheRemainingQueue) {
-  std::atomic<int> ran{0};
-  {
-    cu::OrderedPipeline pipe(4);
-    for (int i = 0; i < 4; ++i)
-      ASSERT_TRUE(pipe.enqueue([&ran] {
-        ran++;
-        return true;
-      }));
+  for (const std::size_t depth : {4u, 0u}) {
+    std::atomic<int> ran{0};
+    {
+      cu::OrderedPipeline pipe(depth);
+      for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(pipe.enqueue([&ran] {
+          ran++;
+          return true;
+        }));
+    }
+    EXPECT_EQ(ran.load(), 4) << depth;
   }
-  EXPECT_EQ(ran.load(), 4);
 }
 
 TEST(Timer, MeasuresNonNegative) {
