@@ -1,4 +1,4 @@
-/// Standalone replay driver for builds without libFuzzer (GCC, MSVC):
+/// Standalone replay driver for builds without libFuzzer (GCC):
 /// every non-dash argument is a corpus file or a directory of corpus
 /// files, each fed once through the harness named by CCOV_FUZZ_TARGET.
 /// Dash arguments (libFuzzer flags like -runs=0) are ignored, so the

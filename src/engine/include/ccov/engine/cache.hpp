@@ -36,6 +36,14 @@ struct DihedralElement {
   bool reflect = false;
   std::uint32_t shift = 0;
 
+  /// g(v) on the n-vertex ring (n > 0): takes a vertex of the request's
+  /// frame into the canonical frame. Same map as
+  /// covering::rotate_cover(covering::reflect_cover(.)).
+  std::uint32_t map(std::uint32_t v, std::uint32_t n) const {
+    const std::uint32_t r = reflect ? (n - v) % n : v;
+    return (r + shift % n) % n;
+  }
+
   /// g^{-1}(v) on the n-vertex ring (n > 0): takes a vertex of a stored
   /// canonical-frame cover back into the request's own frame.
   /// g = rot_s . refl^r, so g^{-1} = refl^r . rot_{-s}.
@@ -59,7 +67,7 @@ struct CanonicalKey {
 CanonicalKey canonical_request_key(const CoverRequest& req);
 
 /// Apply `g` (respectively its inverse) to every vertex of a cover.
-covering::RingCover apply_element(const covering::RingCover& cover,
+covering::RingCover apply_element(covering::RingCover cover,
                                   const DihedralElement& g);
 covering::RingCover apply_inverse(covering::RingCover cover,
                                   const DihedralElement& g);

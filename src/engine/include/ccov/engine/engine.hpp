@@ -35,8 +35,7 @@ struct EngineOptions {
 
 class Engine {
  public:
-  explicit Engine(EngineOptions opts = {},
-                  AlgorithmRegistry& registry = AlgorithmRegistry::global());
+  explicit Engine(EngineOptions opts = {});
 
   /// Execute one request. Never throws: algorithm failures, unknown
   /// names and invalid parameters come back as ok = false responses.
@@ -54,7 +53,7 @@ class Engine {
   template <typename OnHit>
   std::optional<CoverResponse> answer(const CoverRequest& req,
                                       const CanonicalKey& ck, OnHit&& on_hit) {
-    const Algorithm* algo = registry_.find(req.algorithm);
+    const Algorithm* algo = find_algorithm(req.algorithm);
     if (algo && algo->cacheable && req.n >= 3 &&
         cache_.probe(ck, [&](const CoverResponse& entry, std::uint64_t) {
           on_hit(entry);
@@ -69,7 +68,8 @@ class Engine {
   /// themselves with util::TaskGroup tokens.
   util::ThreadPool& pool();
 
-  const AlgorithmRegistry& registry() const { return registry_; }
+  /// Name lookup onto the fixed kAlgorithms table; takes no lock.
+  AlgorithmTable registry() const { return {}; }
   CoverCache& cache() { return cache_; }
   const CoverCache& cache() const { return cache_; }
 
@@ -87,7 +87,6 @@ class Engine {
                         const CanonicalKey& ck);
 
   EngineOptions opts_;
-  AlgorithmRegistry& registry_;
   CoverCache cache_;
   MetricsRegistry metrics_;
   Counter* solver_nodes_ = nullptr;  ///< cumulative search nodes

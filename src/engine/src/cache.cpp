@@ -5,7 +5,6 @@
 #include <functional>
 #include <utility>
 
-#include "ccov/covering/canonical.hpp"
 #include "ccov/util/failpoint.hpp"
 
 namespace ccov::engine {
@@ -14,20 +13,14 @@ namespace {
 
 using EdgeList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
-/// Image of the demand multiset under g(v) = rot_shift(refl^r(v)),
-/// normalized (u <= v per edge) and sorted so equal multisets compare
-/// equal.
+/// Image of the demand multiset under g, normalized (u <= v per edge)
+/// and sorted so equal multisets compare equal.
 EdgeList transform_demand(const std::vector<graph::Edge>& demand,
-                          std::uint32_t n, bool reflect,
-                          std::uint32_t shift) {
+                          std::uint32_t n, const DihedralElement& g) {
   EdgeList out;
   out.reserve(demand.size());
   for (const auto& e : demand) {
-    auto map = [&](std::uint32_t v) {
-      const std::uint32_t r = reflect ? (n - v) % n : v;
-      return (r + shift) % n;
-    };
-    std::uint32_t u = map(e.u), v = map(e.v);
+    std::uint32_t u = g.map(e.u, n), v = g.map(e.v, n);
     if (u > v) std::swap(u, v);
     out.emplace_back(u, v);
   }
@@ -77,10 +70,11 @@ CanonicalKey canonical_request_key(const CoverRequest& req) {
     bool have_best = false;
     for (int refl = 0; refl < 2; ++refl) {
       for (std::uint32_t s = 0; s < req.n; ++s) {
-        EdgeList img = transform_demand(req.demand, req.n, refl != 0, s);
+        const DihedralElement g{refl != 0, s};
+        EdgeList img = transform_demand(req.demand, req.n, g);
         if (!have_best || img < best) {
           best = std::move(img);
-          out.to_canonical = {refl != 0, s};
+          out.to_canonical = g;
           have_best = true;
         }
       }
@@ -97,12 +91,12 @@ CanonicalKey canonical_request_key(const CoverRequest& req) {
   return out;
 }
 
-covering::RingCover apply_element(const covering::RingCover& cover,
+covering::RingCover apply_element(covering::RingCover cover,
                                   const DihedralElement& g) {
-  if (cover.n == 0 || (!g.reflect && g.shift % cover.n == 0)) return cover;
-  const covering::RingCover tmp =
-      g.reflect ? covering::reflect_cover(cover) : cover;
-  return covering::rotate_cover(tmp, g.shift % cover.n);
+  if (cover.n == 0) return cover;
+  for (covering::Cycle& c : cover.cycles)
+    for (covering::Vertex& v : c) v = g.map(v, cover.n);
+  return cover;
 }
 
 covering::RingCover apply_inverse(covering::RingCover cover,
@@ -169,7 +163,8 @@ void CoverCache::insert(const CanonicalKey& ck, const CoverResponse& resp) {
   stored.cache_hit = false;
   // Store the cover in the canonical frame so every D_n-equivalent
   // request shares this one entry.
-  if (stored.found) stored.cover = apply_element(stored.cover, ck.to_canonical);
+  if (stored.found)
+    stored.cover = apply_element(std::move(stored.cover), ck.to_canonical);
   store(ck.key, std::move(stored));
 }
 

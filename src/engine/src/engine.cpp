@@ -8,10 +8,8 @@
 
 namespace ccov::engine {
 
-Engine::Engine(EngineOptions opts, AlgorithmRegistry& registry)
-    : opts_(opts),
-      registry_(registry),
-      cache_(opts.cache_capacity, opts.cache_shards) {
+Engine::Engine(EngineOptions opts)
+    : opts_(opts), cache_(opts.cache_capacity, opts.cache_shards) {
   // Cache series read the cache's own atomics at scrape time — one
   // source of truth, nothing counted twice. The cache outlives the
   // registry's callers because both are members of this engine.
@@ -133,13 +131,11 @@ CoverResponse Engine::compute(const CoverRequest& req, const Algorithm* algo,
     // cancellation is exempt — its whole point is to finish fast.
     if (opts_.fallback_greedy && out.timed_out && !out.cancelled &&
         !resp.found) {
-      if (const Algorithm* greedy = registry_.find("greedy")) {
-        AlgorithmOutcome fb = greedy->run(*eff);
-        resp.cover = std::move(fb.cover);
-        resp.found = fb.found;
-        resp.degraded = true;
-        degraded_->add(1);
-      }
+      AlgorithmOutcome fb = find_algorithm("greedy")->run(*eff);
+      resp.cover = std::move(fb.cover);
+      resp.found = fb.found;
+      resp.degraded = true;
+      degraded_->add(1);
     }
   } catch (const std::exception& e) {
     resp.error = e.what();

@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
@@ -20,44 +20,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <chrono>
-#endif
-
 namespace ccov::engine::net {
-
-#ifdef _WIN32
-// The net layer is POSIX-only for now; every entry point fails cleanly
-// so the rest of the library stays usable on other platforms.
-bool parse_endpoint(const std::string&, std::string*, std::uint16_t*,
-                    std::string* error) {
-  *error = "net: not supported on this platform";
-  return false;
-}
-void ignore_sigpipe() {}
-TcpListener::TcpListener(const std::string&, std::uint16_t) {
-  throw std::runtime_error("net: not supported on this platform");
-}
-TcpListener::~TcpListener() = default;
-int TcpListener::accept_connection(int, int) { return kFailed; }
-void TcpListener::close() {}
-SocketStream::SocketStream(int fd, int wake_fd) : fd_(fd), wake_fd_(wake_fd) {}
-SocketStream::~SocketStream() = default;
-std::ptrdiff_t SocketStream::read_some(char*, std::size_t) { return -1; }
-bool SocketStream::write_all(const char*, std::size_t) { return false; }
-ConnectionServer::ConnectionServer(const std::string& host, std::uint16_t port,
-                                   std::size_t max_clients)
-    : listener_(host, port), max_clients_(max_clients) {}
-ConnectionServer::~ConnectionServer() = default;
-int ConnectionServer::run(SessionFn, SessionFn) { return 1; }
-void ConnectionServer::shutdown() {}
-void ConnectionServer::reap_finished(bool) {}
-ServeServer::ServeServer(Engine& engine, ServeConfig config)
-    : engine_(engine),
-      config_(std::move(config)),
-      server_(config_.host, config_.port, config_.max_clients) {}
-int ServeServer::run() { return 1; }
-void install_signal_shutdown(int, util::CancelToken*) {}
-#else
 
 namespace {
 
@@ -470,7 +433,5 @@ void install_signal_shutdown(int wake_fd, util::CancelToken* cancel) {
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
 }
-
-#endif  // _WIN32
 
 }  // namespace ccov::engine::net

@@ -14,53 +14,6 @@
 
 namespace ccov::engine {
 
-void AlgorithmRegistry::add(Algorithm algo) {
-  if (algo.name.empty())
-    throw std::invalid_argument("AlgorithmRegistry: empty algorithm name");
-  if (!algo.run)
-    throw std::invalid_argument("AlgorithmRegistry: algorithm '" + algo.name +
-                                "' has no run function");
-  util::MutexLock lk(mu_);
-  const std::string name = algo.name;
-  if (algos_.count(name))
-    throw std::invalid_argument("AlgorithmRegistry: duplicate algorithm '" +
-                                name + "'");
-  algos_.emplace(name, std::move(algo));
-}
-
-const Algorithm* AlgorithmRegistry::find(const std::string& name) const {
-  util::MutexLock lk(mu_);
-  const auto it = algos_.find(name);
-  return it == algos_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> AlgorithmRegistry::names() const {
-  util::MutexLock lk(mu_);
-  std::vector<std::string> out;
-  out.reserve(algos_.size());
-  for (const auto& [name, _] : algos_) out.push_back(name);
-  return out;  // std::map iterates in sorted order
-}
-
-std::size_t AlgorithmRegistry::size() const {
-  util::MutexLock lk(mu_);
-  return algos_.size();
-}
-
-AlgorithmRegistry& AlgorithmRegistry::global() {
-  static AlgorithmRegistry reg;
-  // Magic-static init is thread-safe and runs exactly once; keeping the
-  // built-in registration here (instead of static registrar objects in
-  // this TU) means static-library dead-stripping can never lose it.
-  static const bool initialized = (register_builtin_algorithms(reg), true);
-  (void)initialized;
-  return reg;
-}
-
-AlgorithmRegistrar::AlgorithmRegistrar(Algorithm algo) {
-  AlgorithmRegistry::global().add(std::move(algo));
-}
-
 namespace {
 
 /// Shared preconditions for the built-ins that only understand the plain
@@ -96,98 +49,99 @@ AlgorithmOutcome outcome_from(covering::SolverResult res) {
   return out;
 }
 
+AlgorithmOutcome run_c4(const CoverRequest& req) {
+  require_all_to_all(req, "c4");
+  return AlgorithmOutcome{
+      covering::RingCover{req.n, baselines::greedy_c4_cover(req.n)}};
+}
+
+AlgorithmOutcome run_construct(const CoverRequest& req) {
+  require_all_to_all(req, "construct");
+  return AlgorithmOutcome{covering::build_optimal_cover(req.n)};
+}
+
+AlgorithmOutcome run_emz(const CoverRequest& req) {
+  require_all_to_all(req, "emz");
+  return AlgorithmOutcome{baselines::emz_greedy_cover(req.n)};
+}
+
+AlgorithmOutcome run_greedy(const CoverRequest& req) {
+  if (req.lambda != 1)
+    throw std::invalid_argument("greedy: lambda != 1 is not supported");
+  if (req.demand.empty())
+    return AlgorithmOutcome{covering::greedy_cover(req.n)};
+  return AlgorithmOutcome{covering::greedy_cover_demand(
+      req.n, demand_graph(req.n, req.demand))};
+}
+
+AlgorithmOutcome run_lambda(const CoverRequest& req) {
+  if (!req.demand.empty())
+    throw std::invalid_argument("lambda: explicit demands are not supported");
+  return AlgorithmOutcome{extensions::build_lambda_cover(req.n, req.lambda)};
+}
+
+bool validate_lambda(const CoverRequest& req,
+                     const covering::RingCover& cover) {
+  return extensions::validate_lambda_cover(cover, req.lambda);
+}
+
+AlgorithmOutcome run_solve(const CoverRequest& req) {
+  require_all_to_all(req, "solve");
+  return outcome_from(covering::solve_with_budget(
+      req.n, effective_budget(req), runtime_solver_options(req)));
+}
+
+AlgorithmOutcome run_solve_parallel(const CoverRequest& req) {
+  require_all_to_all(req, "solve-parallel");
+  return outcome_from(covering::solve_with_budget_parallel(
+      req.n, effective_budget(req), runtime_solver_options(req),
+      req.threads));
+}
+
+AlgorithmOutcome run_triple(const CoverRequest& req) {
+  require_all_to_all(req, "triple");
+  return AlgorithmOutcome{
+      covering::RingCover{req.n, baselines::greedy_triple_cover(req.n)}};
+}
+
+constexpr bool sorted_and_unique(const std::array<Algorithm, 8>& table) {
+  for (std::size_t i = 1; i < table.size(); ++i)
+    if (!(table[i - 1].name < table[i].name)) return false;
+  return true;
+}
+
 }  // namespace
 
-void register_builtin_algorithms(AlgorithmRegistry& reg) {
-  if (reg.contains("construct")) return;  // idempotent
+constexpr std::array<Algorithm, 8> kAlgorithms = {{
+    {"c4", "classical C4 covering of K_n, no routing constraint (ref [2])",
+     true, run_c4, nullptr},
+    {"construct", "paper-optimal DRC-covering of K_n (Theorems 1 and 2)", true,
+     run_construct, nullptr},
+    {"emz", "greedy cover minimizing the Eilam-Moran-Zaks size objective",
+     true, run_emz, nullptr},
+    {"greedy", "greedy DRC-covering baseline (accepts an explicit demand)",
+     true, run_greedy, nullptr},
+    {"lambda", "DRC-covering of lambda*K_n (--lambda copies of the optimum)",
+     true, run_lambda, validate_lambda},
+    {"solve",
+     "exact branch-and-bound search within --budget cycles (default rho(n))",
+     true, run_solve, nullptr},
+    {"solve-parallel",
+     "exact search fanned across --threads (shared node budget, witness "
+     "identical to solve)",
+     true, run_solve_parallel, nullptr},
+    {"triple",
+     "classical triangle covering C(n,3,2), no routing constraint "
+     "(refs [6,7])",
+     true, run_triple, nullptr},
+}};
+static_assert(sorted_and_unique(kAlgorithms),
+              "kAlgorithms must be sorted by name, without duplicates");
 
-  reg.add({"construct",
-           "paper-optimal DRC-covering of K_n (Theorems 1 and 2)", true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "construct");
-             return AlgorithmOutcome{covering::build_optimal_cover(req.n)};
-           },
-           nullptr});
-
-  reg.add({"solve",
-           "exact branch-and-bound search within --budget cycles "
-           "(default rho(n))",
-           true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "solve");
-             return outcome_from(covering::solve_with_budget(
-                 req.n, effective_budget(req), runtime_solver_options(req)));
-           },
-           nullptr});
-
-  reg.add({"solve-parallel",
-           "exact search fanned across --threads (shared node budget, "
-           "witness identical to solve)",
-           true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "solve-parallel");
-             return outcome_from(covering::solve_with_budget_parallel(
-                 req.n, effective_budget(req), runtime_solver_options(req),
-                 req.threads));
-           },
-           nullptr});
-
-  reg.add({"greedy",
-           "greedy DRC-covering baseline (accepts an explicit demand)", true,
-           [](const CoverRequest& req) {
-             if (req.lambda != 1)
-               throw std::invalid_argument(
-                   "greedy: lambda != 1 is not supported");
-             if (req.demand.empty())
-               return AlgorithmOutcome{covering::greedy_cover(req.n)};
-             return AlgorithmOutcome{covering::greedy_cover_demand(
-                 req.n, demand_graph(req.n, req.demand))};
-           },
-           nullptr});
-
-  reg.add({"emz",
-           "greedy cover minimizing the Eilam-Moran-Zaks size objective",
-           true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "emz");
-             return AlgorithmOutcome{baselines::emz_greedy_cover(req.n)};
-           },
-           nullptr});
-
-  reg.add({"c4",
-           "classical C4 covering of K_n, no routing constraint (ref [2])",
-           true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "c4");
-             return AlgorithmOutcome{covering::RingCover{
-                 req.n, baselines::greedy_c4_cover(req.n)}};
-           },
-           nullptr});
-
-  reg.add({"triple",
-           "classical triangle covering C(n,3,2), no routing constraint "
-           "(refs [6,7])",
-           true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "triple");
-             return AlgorithmOutcome{covering::RingCover{
-                 req.n, baselines::greedy_triple_cover(req.n)}};
-           },
-           nullptr});
-
-  reg.add({"lambda",
-           "DRC-covering of lambda*K_n (--lambda copies of the optimum)",
-           true,
-           [](const CoverRequest& req) {
-             if (!req.demand.empty())
-               throw std::invalid_argument(
-                   "lambda: explicit demands are not supported");
-             return AlgorithmOutcome{
-                 extensions::build_lambda_cover(req.n, req.lambda)};
-           },
-           [](const CoverRequest& req, const covering::RingCover& cover) {
-             return extensions::validate_lambda_cover(cover, req.lambda);
-           }});
+const Algorithm* find_algorithm(std::string_view name) {
+  for (const Algorithm& algo : kAlgorithms)
+    if (algo.name == name) return &algo;
+  return nullptr;
 }
 
 }  // namespace ccov::engine

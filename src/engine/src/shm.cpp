@@ -12,7 +12,6 @@
 #include <stdexcept>
 #include <utility>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
@@ -20,7 +19,6 @@
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace ccov::engine::shm {
 
@@ -89,37 +87,6 @@ std::uint64_t proc_start_time(std::uint32_t pid) {
   return 0;
 #endif
 }
-
-#ifdef _WIN32
-// The shm transport is POSIX-only, like the net layer: fail cleanly so
-// the rest of the library stays usable elsewhere.
-ShmServer::ShmServer(Engine& engine, ServeConfig config)
-    : engine_(engine), config_(std::move(config)) {
-  throw std::runtime_error("shm: not supported on this platform");
-}
-ShmServer::~ShmServer() = default;
-int ShmServer::run() { return 1; }
-void ShmServer::shutdown() {}
-bool ShmServer::shutdown_requested() const { return true; }
-void ShmServer::reset_session() {}
-ShmClient::~ShmClient() = default;
-bool ShmClient::connect(const std::string&, std::string* error) {
-  *error = "shm: not supported on this platform";
-  return false;
-}
-bool ShmClient::ok() const { return false; }
-bool ShmClient::send(const char*, std::size_t) { return false; }
-bool ShmClient::send_line(const std::string&) { return false; }
-std::size_t ShmClient::try_send(const char*, std::size_t) { return 0; }
-void ShmClient::wait_send(int) {}
-void ShmClient::finish() {}
-bool ShmClient::read_line(std::string*) { return false; }
-std::size_t ShmClient::drain_available(std::string*) { return 0; }
-std::size_t ShmClient::read_some(std::string*) { return 0; }
-bool ShmClient::server_finished() const { return false; }
-void ShmClient::close() {}
-bool ShmClient::session_over() const { return true; }
-#else
 
 namespace {
 
@@ -791,7 +758,5 @@ void ShmClient::close() {
   header_ = nullptr;
   slot_ = 0;
 }
-
-#endif  // _WIN32
 
 }  // namespace ccov::engine::shm

@@ -6,7 +6,7 @@
 /// whole tree with -Wthread-safety -Werror) the analysis proves, per
 /// translation unit, that every CCOV_GUARDED_BY member is only touched
 /// with its mutex held and that every CCOV_REQUIRES function is only
-/// called under the right lock. Under GCC/MSVC the macros expand to
+/// called under the right lock. Under GCC the macros expand to
 /// nothing and Mutex is an ordinary std::mutex wrapper.
 ///
 /// Conventions (see README "Static analysis & fuzzing"):

@@ -5,10 +5,11 @@
 /// exploit all cores; the combinatorial kernels themselves stay
 /// single-threaded and deterministic.
 ///
-/// Concurrent callers are isolated through TaskGroup completion tokens:
-/// each batch waits only for its own tasks and observes only its own
-/// exceptions, so a long-running serve loop can fan independent batches
-/// across one shared pool without cross-talk.
+/// TaskGroup is the only way to wait: every task is submitted against a
+/// group, and group.wait() blocks on exactly those tasks and rethrows only
+/// their exceptions, so a long-running serve loop can fan independent
+/// batches across one shared pool without cross-talk. parallel_for uses
+/// a private group of its own.
 
 #include <condition_variable>
 #include <cstddef>
@@ -43,9 +44,6 @@ class TaskGroup {
   /// stored exception is cleared on rethrow, so the group stays usable.
   void wait();
 
-  /// Tasks submitted against this group that have not yet completed.
-  std::size_t pending() const;
-
  private:
   friend class ThreadPool;
   struct State {
@@ -68,21 +66,10 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task against the pool's default group. A task that throws
-  /// does not terminate the process: the first exception is captured and
-  /// rethrown from the next wait_idle().
-  void submit(std::function<void()> task);
-
   /// Enqueue a task against \p group; completion and exceptions are
-  /// routed to that group alone (see TaskGroup::wait).
+  /// routed to that group alone (see TaskGroup::wait). A task that throws
+  /// does not terminate the process.
   void submit(TaskGroup& group, std::function<void()> task);
-
-  /// Block until every submitted task (all groups) has finished, then
-  /// rethrow the first exception raised by a *default-group* task, if
-  /// one did. Batches that want isolation from other callers should use
-  /// an explicit TaskGroup instead. The pool stays usable afterwards —
-  /// the stored exception is cleared on rethrow.
-  void wait_idle();
 
  private:
   struct Item {
@@ -90,18 +77,13 @@ class ThreadPool {
     std::shared_ptr<TaskGroup::State> group;
   };
 
-  void enqueue(std::shared_ptr<TaskGroup::State> group,
-               std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;
   Mutex mu_;
   std::queue<Item> queue_ CCOV_GUARDED_BY(mu_);
   std::condition_variable_any cv_task_;
-  std::condition_variable_any cv_idle_;
-  std::size_t in_flight_ CCOV_GUARDED_BY(mu_) = 0;
   bool stop_ CCOV_GUARDED_BY(mu_) = false;
-  TaskGroup default_group_;
 };
 
 /// Run fn(i) for i in [begin, end) across the pool, blocking until done.

@@ -17,11 +17,6 @@ void TaskGroup::wait() {
   if (err) std::rethrow_exception(err);
 }
 
-std::size_t TaskGroup::pending() const {
-  MutexLock lk(state_->mu);
-  return state_->pending;
-}
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0)
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -39,42 +34,17 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  enqueue(default_group_.state_, std::move(task));
-}
-
 void ThreadPool::submit(TaskGroup& group, std::function<void()> task) {
-  enqueue(group.state_, std::move(task));
-}
-
-void ThreadPool::enqueue(std::shared_ptr<TaskGroup::State> group,
-                         std::function<void()> task) {
+  TaskGroup::State& s = *group.state_;
   {
-    MutexLock lk(group->mu);
-    ++group->pending;
+    MutexLock lk(s.mu);
+    ++s.pending;
   }
   {
     MutexLock lk(mu_);
-    queue_.push(Item{std::move(task), std::move(group)});
-    ++in_flight_;
+    queue_.push(Item{std::move(task), group.state_});
   }
   cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  {
-    MutexLock lk(mu_);
-    while (in_flight_ != 0) cv_idle_.wait(mu_);
-  }
-  // Rethrow (and clear) only the default group's error: an explicit
-  // TaskGroup's failure belongs to the batch that submitted it.
-  auto& state = *default_group_.state_;
-  std::exception_ptr err;
-  {
-    MutexLock lk(state.mu);
-    err = std::exchange(state.first_error, nullptr);
-  }
-  if (err) std::rethrow_exception(err);
 }
 
 void ThreadPool::worker_loop() {
@@ -97,10 +67,6 @@ void ThreadPool::worker_loop() {
       MutexLock lk(item.group->mu);
       if (err && !item.group->first_error) item.group->first_error = err;
       if (--item.group->pending == 0) item.group->cv.notify_all();
-    }
-    {
-      MutexLock lk(mu_);
-      if (--in_flight_ == 0) cv_idle_.notify_all();
     }
   }
 }

@@ -74,11 +74,10 @@ echo "${P}" | grep -q "found=1" || fail "parallel solve n=7 should find a cover"
 echo "== ccov protect --n 12 --edge 3"
 "${CCOV}" protect --n 12 --edge 3 | grep -q "affected=" || fail "protect output missing report"
 
-echo "== ccov algos lists the registered strategies"
-ALGOS=$("${CCOV}" algos)
-for name in construct solve greedy lambda; do
-  echo "${ALGOS}" | grep -q "${name}" || fail "algos output missing '${name}'"
-done
+echo "== ccov algos lists every built-in strategy, sorted by name"
+ALGO_NAMES=$("${CCOV}" algos | sed -n 's/^| \([a-z0-9-]*\) .*/\1/p' | grep -v '^name$' | tr '\n' ' ')
+[ "${ALGO_NAMES}" = "c4 construct emz greedy lambda solve solve-parallel triple " ] \
+  || fail "algos should list the eight built-ins in order, got: ${ALGO_NAMES}"
 
 echo "== ccov run --algo construct --n 9"
 "${CCOV}" run --algo construct --n 9 | grep -q "valid=yes" \
@@ -128,6 +127,17 @@ for args in "sweep --n-from abc" "sweep --n-from 3 --n-to 9 --jobs 1.5" \
   [ "$(wc -l < "${ERR}")" -eq 1 ] || fail "'ccov ${args}' should print exactly one stderr line"
   grep -Eq "invalid (integer|number)|out of range" "${ERR}" \
     || fail "'ccov ${args}' error should name the bad value: $(cat "${ERR}")"
+done
+
+echo "== negative serve size flags are refused, not wrapped to SIZE_MAX"
+for flag in --max-line --batch; do
+  ERR="${TMPDIR_SMOKE}/negsize.err"
+  if echo '{"algo":"construct","n":9}' | "${CCOV}" serve "${flag}" -1 >/dev/null 2>"${ERR}"; then
+    fail "'serve ${flag} -1' should exit nonzero"
+  fi
+  [ "$(wc -l < "${ERR}")" -eq 1 ] || fail "'serve ${flag} -1' should print exactly one stderr line"
+  grep -q -- "${flag} must be >= 0" "${ERR}" \
+    || fail "'serve ${flag} -1' error should name the flag: $(cat "${ERR}")"
 done
 
 echo "== ccov serve (JSONL round trip, byte-identical across --jobs)"

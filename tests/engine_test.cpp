@@ -60,44 +60,39 @@ std::string rows_of(const std::vector<eng::CoverResponse>& responses) {
 // ---------------------------------------------------------------------------
 
 TEST(Registry, ResolvesAllBuiltinsByName) {
-  auto& reg = eng::AlgorithmRegistry::global();
-  const std::vector<std::string> expected = {
-      "construct", "solve",  "solve-parallel", "greedy",
-      "emz",       "c4",     "triple",         "lambda"};
-  EXPECT_GE(reg.size(), 6u);
-  for (const auto& name : expected) {
-    const eng::Algorithm* algo = reg.find(name);
-    ASSERT_NE(algo, nullptr) << name;
-    EXPECT_EQ(algo->name, name);
-    EXPECT_FALSE(algo->description.empty()) << name;
+  // The table is sorted by name with no duplicates (registry.cpp also
+  // static_asserts this), and every row resolves to itself.
+  const std::vector<std::string_view> expected = {
+      "c4",     "construct", "emz",           "greedy",
+      "lambda", "solve",     "solve-parallel", "triple"};
+  ASSERT_EQ(eng::kAlgorithms.size(), expected.size());
+  const eng::Engine engine;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const eng::Algorithm& algo = eng::kAlgorithms[i];
+    EXPECT_EQ(algo.name, expected[i]);
+    if (i > 0) {
+      EXPECT_LT(eng::kAlgorithms[i - 1].name, algo.name);
+    }
+    EXPECT_FALSE(algo.description.empty()) << algo.name;
+    EXPECT_NE(algo.run, nullptr) << algo.name;
+    EXPECT_EQ(eng::find_algorithm(expected[i]), &algo);
+    EXPECT_EQ(engine.registry().find(std::string(expected[i])), &algo);
   }
-  const auto names = reg.names();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  // Only lambda*K_n needs its own validator.
+  EXPECT_NE(eng::find_algorithm("lambda")->validate, nullptr);
+  EXPECT_EQ(eng::find_algorithm("construct")->validate, nullptr);
 }
 
 TEST(Registry, UnknownNameIsNull) {
-  EXPECT_EQ(eng::AlgorithmRegistry::global().find("frobnicate"), nullptr);
-}
-
-TEST(Registry, RejectsDuplicateAndAnonymous) {
-  eng::AlgorithmRegistry reg;
-  eng::Algorithm a{"x", "test", true,
-                   [](const eng::CoverRequest&) {
-                     return eng::AlgorithmOutcome{};
-                   },
-                   nullptr};
-  reg.add(a);
-  EXPECT_THROW(reg.add(a), std::invalid_argument);
-  a.name.clear();
-  EXPECT_THROW(reg.add(a), std::invalid_argument);
-  a.name = "y";
-  a.run = nullptr;
-  EXPECT_THROW(reg.add(a), std::invalid_argument);
+  for (const std::string_view name : {"frobnicate", "", "Construct", "solve-"})
+    EXPECT_EQ(eng::find_algorithm(name), nullptr) << name;
+  EXPECT_EQ(eng::Engine().registry().find("frobnicate"), nullptr);
 }
 
 TEST(Registry, EveryBuiltinProducesACoverFor9) {
   eng::Engine engine;
-  for (const auto& name : engine.registry().names()) {
+  for (const eng::Algorithm& algo : eng::kAlgorithms) {
+    const std::string name(algo.name);
     const auto resp = engine.run(make_req(name, 9));
     EXPECT_TRUE(resp.ok) << name << ": " << resp.error;
     EXPECT_TRUE(resp.found) << name;
@@ -447,6 +442,23 @@ TEST(CoverCache, ApplyElementRoundTrips) {
       EXPECT_EQ(cov::canonical_cover(back).cycles,
                 cov::canonical_cover(cover).cycles);
       EXPECT_TRUE(cov::validate_cover(back).ok);
+      // apply_element is the reference rotate(reflect(.)) vertex map.
+      const auto ref =
+          cov::rotate_cover(reflect ? cov::reflect_cover(cover) : cover, shift);
+      EXPECT_EQ(there.cycles, ref.cycles);
+    }
+  }
+  // map and unmap are inverse bijections for every element of D_n.
+  for (std::uint32_t n = 3; n <= 40; ++n) {
+    for (const bool reflect : {false, true}) {
+      for (std::uint32_t shift = 0; shift < n; ++shift) {
+        const eng::DihedralElement g{reflect, shift};
+        for (std::uint32_t v = 0; v < n; ++v) {
+          ASSERT_LT(g.map(v, n), n);
+          ASSERT_EQ(g.unmap(g.map(v, n), n), v)
+              << "n=" << n << " reflect=" << reflect << " shift=" << shift;
+        }
+      }
     }
   }
 }

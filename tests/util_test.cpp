@@ -5,11 +5,11 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "ccov/util/cli.hpp"
-#include "ccov/util/csv.hpp"
 #include "ccov/util/ints.hpp"
 #include "ccov/util/pipeline.hpp"
 #include "ccov/util/prng.hpp"
@@ -125,20 +125,6 @@ TEST(Table, EmptyJsonIsAnEmptyArray) {
   EXPECT_EQ(os.str(), "[\n]\n");
 }
 
-TEST(Csv, WritesEscapedCells) {
-  const std::string path = testing::TempDir() + "ccov_csv_test.csv";
-  {
-    cu::CsvWriter w(path, {"a", "b"});
-    w.write("x,y", 3);
-  }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "a,b");
-  EXPECT_EQ(line2, "\"x,y\",3");
-}
-
 TEST(Cli, ParsesEqualsForm) {
   const char* argv[] = {"prog", "--n=12", "--name=ring"};
   cu::Cli cli(3, argv);
@@ -170,9 +156,10 @@ TEST(Cli, DoubleParsing) {
 
 TEST(ThreadPool, RunsAllTasks) {
   cu::ThreadPool pool(4);
+  cu::TaskGroup group;
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { counter++; });
-  pool.wait_idle();
+  for (int i = 0; i < 100; ++i) pool.submit(group, [&] { counter++; });
+  group.wait();
   EXPECT_EQ(counter.load(), 100);
 }
 TEST(ThreadPool, ParallelForCoversRange) {
@@ -189,36 +176,45 @@ TEST(ThreadPool, EmptyRangeIsNoop) {
 TEST(ThreadPool, ZeroThreadsFallsBackToHardwareConcurrency) {
   cu::ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
+  cu::TaskGroup group;
   std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) pool.submit([&] { counter++; });
-  pool.wait_idle();
+  for (int i = 0; i < 10; ++i) pool.submit(group, [&] { counter++; });
+  group.wait();
   EXPECT_EQ(counter.load(), 10);
 }
 TEST(ThreadPool, ReusableAfterDrain) {
   cu::ThreadPool pool(3);
+  cu::TaskGroup group;
   std::atomic<int> counter{0};
   for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 50; ++i) pool.submit([&] { counter++; });
-    pool.wait_idle();
+    for (int i = 0; i < 50; ++i) pool.submit(group, [&] { counter++; });
+    group.wait();
     EXPECT_EQ(counter.load(), 50 * (round + 1));
   }
 }
-TEST(ThreadPool, TaskExceptionPropagatesToWaitIdle) {
+TEST(ThreadPool, TaskExceptionPropagatesToWait) {
   cu::ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The stored exception is cleared and the pool stays usable.
+  cu::TaskGroup group;
+  pool.submit(group, [] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(group.wait(), std::runtime_error);
+  // The stored exception is cleared and the group stays usable.
   std::atomic<int> counter{0};
-  pool.submit([&] { counter++; });
-  pool.wait_idle();
+  pool.submit(group, [&] { counter++; });
+  group.wait();
   EXPECT_EQ(counter.load(), 1);
 }
 TEST(ThreadPool, FirstOfSeveralExceptionsWins) {
-  cu::ThreadPool pool(2);
+  cu::ThreadPool pool(1);  // one worker: tasks finish in submission order
+  cu::TaskGroup group;
   for (int i = 0; i < 8; ++i)
-    pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  pool.wait_idle();  // cleared: a second wait does not rethrow
+    pool.submit(group, [i] { throw std::runtime_error(std::to_string(i)); });
+  try {
+    group.wait();
+    ADD_FAILURE() << "wait() should rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "0");
+  }
+  group.wait();  // cleared: a second wait does not rethrow
 }
 TEST(ThreadPool, ParallelForPropagatesTaskException) {
   cu::ThreadPool pool(4);
@@ -241,20 +237,24 @@ TEST(TaskGroup, WaitReturnsWhileOtherGroupsStillRun) {
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
   cu::TaskGroup slow, fast;
-  pool.submit(slow, [gate] { gate.wait(); });
+  std::atomic<bool> slow_done{false};
+  pool.submit(slow, [gate, &slow_done] {
+    gate.wait();
+    slow_done = true;
+  });
   std::atomic<int> fast_done{0};
   pool.submit(fast, [&] { fast_done++; });
   fast.wait();  // must not wait for the blocked `slow` task
   EXPECT_EQ(fast_done.load(), 1);
-  EXPECT_EQ(slow.pending(), 1u);
+  EXPECT_FALSE(slow_done.load());
   release.set_value();
   slow.wait();
-  EXPECT_EQ(slow.pending(), 0u);
+  EXPECT_TRUE(slow_done.load());
 }
 
 TEST(TaskGroup, ExceptionsRouteToTheSubmittingBatch) {
   // Two batches on one pool: the failing batch rethrows its own error;
-  // the succeeding batch (and the default group) never see it.
+  // the succeeding batch never sees it.
   cu::ThreadPool pool(2);
   cu::TaskGroup failing, succeeding;
   for (int i = 0; i < 8; ++i) {
@@ -263,16 +263,14 @@ TEST(TaskGroup, ExceptionsRouteToTheSubmittingBatch) {
   }
   succeeding.wait();  // must not throw another batch's exception
   EXPECT_THROW(failing.wait(), std::runtime_error);
-  failing.wait();    // cleared on rethrow
-  pool.wait_idle();  // default group untouched: no rethrow
+  failing.wait();  // cleared on rethrow
 }
 
 TEST(ThreadPool, ConcurrentParallelForCallersAreIsolated) {
   // Regression: two OS threads share one pool; one's parallel_for body
   // always throws, the other's never does. Every failing call must
   // observe its own exception and the succeeding caller must never see
-  // one (previously wait_idle could rethrow another caller's error and
-  // waited for all in-flight tasks).
+  // one.
   cu::ThreadPool pool(4);
   constexpr int kRounds = 25;
   constexpr std::size_t kSpan = 64;
@@ -308,7 +306,6 @@ TEST(ThreadPool, ConcurrentParallelForCallersAreIsolated) {
   EXPECT_EQ(bad_exceptions.load(), kRounds);
   EXPECT_EQ(good_saw_exception.load(), 0);
   EXPECT_EQ(good_hits.load(), kRounds * kSpan);
-  pool.wait_idle();  // the pool itself is still healthy
 }
 
 // Every OrderedPipeline behaviour holds at depth 0 too, where no worker

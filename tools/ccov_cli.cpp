@@ -122,6 +122,16 @@ std::size_t warm_capacity(const std::string& cache_file, std::size_t floor) {
   return std::max(floor, 2 * entries);
 }
 
+/// A size flag: --flag's integer value, or an error naming the flag when
+/// it is negative (a plain cast would wrap it to SIZE_MAX and silently
+/// switch the bound off).
+std::size_t get_size(const ccov::util::Cli& cli, const std::string& flag,
+                     std::size_t def) {
+  const std::int64_t v = cli.get_int(flag, static_cast<std::int64_t>(def));
+  if (v < 0) throw std::invalid_argument("--" + flag + " must be >= 0");
+  return static_cast<std::size_t>(v);
+}
+
 /// Load `cache_file` into the cache when it exists; 0 entries otherwise.
 std::size_t load_snapshot_if_exists(const std::string& cache_file,
                                     ccov::engine::CoverCache& cache) {
@@ -137,7 +147,7 @@ ccov::engine::CoverRequest make_request(const ccov::util::Cli& cli,
   req.n = n;
   req.budget = static_cast<std::uint64_t>(cli.get_int("budget", 0));
   req.lambda = static_cast<std::uint32_t>(cli.get_int("lambda", 1));
-  req.threads = static_cast<std::size_t>(cli.get_int("threads", 0));
+  req.threads = get_size(cli, "threads", 0);
   req.validate = !cli.has("no-validate");
   return req;
 }
@@ -276,8 +286,7 @@ int cmd_sweep(const ccov::util::Cli& cli) {
     eopts.cache_capacity = warm_capacity(cache_file, 1 << 16);
   ccov::engine::Engine engine(eopts);
   load_snapshot_if_exists(cache_file, engine.cache());
-  ccov::engine::BatchRunner runner(
-      engine, {static_cast<std::size_t>(cli.get_int("jobs", 0))});
+  ccov::engine::BatchRunner runner(engine, {get_size(cli, "jobs", 0)});
   const auto responses = runner.run(requests);
   if (!cache_file.empty())
     ccov::engine::save_snapshot_file(cache_file, engine.cache());
@@ -336,19 +345,13 @@ int cmd_sweep(const ccov::util::Cli& cli) {
 /// one raises a single coherent error listing exactly what was given.
 ccov::engine::ServeConfig parse_serve_config(const ccov::util::Cli& cli) {
   ccov::engine::ServeConfig config;
-  config.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
-  config.batch = static_cast<std::size_t>(cli.get_int("batch", 1));
+  config.jobs = get_size(cli, "jobs", 1);
+  config.batch = get_size(cli, "batch", 1);
   config.cache_file = cli.get("cache-file", "");
-  config.max_line_bytes = static_cast<std::size_t>(
-      cli.get_int("max-line", static_cast<std::int64_t>(1) << 20));
-  config.max_clients =
-      static_cast<std::size_t>(cli.get_int("max-clients", 64));
-  config.max_body_bytes = static_cast<std::size_t>(cli.get_int(
-      "max-body", static_cast<std::int64_t>(config.max_body_bytes)));
-  const std::int64_t deadline_ms = cli.get_int("default-deadline-ms", 0);
-  if (deadline_ms < 0)
-    throw std::invalid_argument("--default-deadline-ms must be >= 0");
-  config.default_deadline_ms = static_cast<std::uint64_t>(deadline_ms);
+  config.max_line_bytes = get_size(cli, "max-line", std::size_t{1} << 20);
+  config.max_clients = get_size(cli, "max-clients", 64);
+  config.max_body_bytes = get_size(cli, "max-body", config.max_body_bytes);
+  config.default_deadline_ms = get_size(cli, "default-deadline-ms", 0);
 
   const struct {
     const char* flag;
@@ -377,8 +380,7 @@ ccov::engine::ServeConfig parse_serve_config(const ccov::util::Cli& cli) {
                                   t.value + "': " + err);
   }
   config.shm_name = cli.get("shm", "");
-  config.shm_ring_bytes = static_cast<std::size_t>(cli.get_int(
-      "shm-ring", static_cast<std::int64_t>(config.shm_ring_bytes)));
+  config.shm_ring_bytes = get_size(cli, "shm-ring", config.shm_ring_bytes);
   if (!config.shm_name.empty() &&
       !ccov::util::ShmByteRing::valid_capacity(config.shm_ring_bytes))
     throw std::invalid_argument(
@@ -413,12 +415,10 @@ int cmd_serve(const ccov::util::Cli& cli) {
   config.cancel = &shutdown_token;
 
   ccov::engine::EngineOptions eopts;
-  eopts.cache_capacity = std::max(
-      static_cast<std::size_t>(cli.get_int("cache-capacity", 1 << 14)),
-      warm_capacity(config.cache_file, 0));
-  eopts.cache_shards = static_cast<std::size_t>(cli.get_int(
-      "cache-shards",
-      static_cast<std::int64_t>(ccov::engine::CoverCache::kDefaultShards)));
+  eopts.cache_capacity = std::max(get_size(cli, "cache-capacity", 1 << 14),
+                                  warm_capacity(config.cache_file, 0));
+  eopts.cache_shards = get_size(cli, "cache-shards",
+                                ccov::engine::CoverCache::kDefaultShards);
   const std::string fallback = cli.get("fallback", "");
   if (!fallback.empty() && fallback != "none" && fallback != "greedy")
     throw std::invalid_argument("--fallback must be 'greedy' or 'none' (got '" +
@@ -646,8 +646,7 @@ int cmd_cache(const ccov::util::Cli& cli) {
     std::vector<ccov::engine::CoverRequest> requests;
     for (std::uint32_t n = n_from; n <= n_to; n += step)
       requests.push_back(make_request(cli, n));
-    ccov::engine::BatchRunner runner(
-        engine, {static_cast<std::size_t>(cli.get_int("jobs", 0))});
+    ccov::engine::BatchRunner runner(engine, {get_size(cli, "jobs", 0)});
     int failures = 0;
     for (const auto& resp : runner.run(requests)) {
       if (resp.ok) continue;
@@ -666,10 +665,9 @@ int cmd_cache(const ccov::util::Cli& cli) {
 }
 
 int cmd_algos() {
-  const auto& reg = ccov::engine::AlgorithmRegistry::global();
   ccov::util::Table t({"name", "description"});
-  for (const auto& name : reg.names())
-    t.add(name, reg.find(name)->description);
+  for (const ccov::engine::Algorithm& algo : ccov::engine::kAlgorithms)
+    t.add(std::string(algo.name), std::string(algo.description));
   t.print(std::cout, "registered algorithms");
   return 0;
 }
