@@ -1,12 +1,9 @@
-// Experiment A1 — ablations of the design choices DESIGN.md calls out.
+// Experiment A1 — ablations of the exact solver's design choices.
 //
 //  (a) Solver capacity pruning: the "each DRC cycle tiles the ring exactly
 //      once" insight is the paper's core; turning the derived prune off
 //      shows how much of the search it removes.
 //  (b) Parallel root fan-out: same proof, wall-clock scaling.
-//  (c) Cycle-size cap: searching C3..C5 instead of C3..C4 never improves
-//      the optimum (the theorems say C3/C4 suffice) but grows the branch
-//      factor.
 
 #include <iostream>
 
@@ -45,21 +42,12 @@ int main() {
       t.add(n, budget, "parallel roots", r.found ? "yes" : "no",
             r.exhausted ? "yes" : "no", r.nodes, timer.millis());
     }
-    {
-      SolverOptions o;
-      o.max_cycle_len = 5;
-      ccov::util::Timer timer;
-      const auto r = solve_with_budget(n, budget, o);
-      t.add(n, budget, "sizes C3..C5", r.found ? "yes" : "no",
-            r.exhausted ? "yes" : "no", r.nodes, timer.millis());
-    }
   }
   t.print(std::cout,
           "Ablation: exhaustive infeasibility proofs at budget rho(n)-1");
   std::cout << "\nShape check: the capacity prune (the paper's tiling "
                "insight) cuts the explored nodes by orders of magnitude "
                "and is what makes the exhaustive certification of Theorem "
-               "2's small cases tractable; allowing C5s only inflates the "
-               "search.\n";
+               "2's small cases tractable.\n";
   return 0;
 }

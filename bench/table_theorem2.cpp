@@ -5,8 +5,9 @@
 // C4. This library certifies those values exactly for even n <= 12
 // (construction meeting the parity lower bound; the n = 10 base was found
 // by exhaustive search). For larger even n the general construction is
-// valid but uses floor((p-1)/2) extra cycles (see EXPERIMENTS.md). Covers
-// come through the engine's BatchRunner: one "construct" request per n,
+// valid but uses floor((p-1)/2) extra cycles, p = n/2 (pinned by
+// EvenGeneralParam.WithinDocumentedGapOfRho in tests/construct_test.cpp).
+// Covers come through the engine's BatchRunner: one "construct" request per n,
 // validated by the engine, rows in deterministic order.
 
 #include <iostream>

@@ -7,18 +7,22 @@
 namespace ccov::covering {
 
 /// Optimal DRC-covering of K_n over C_n for odd n >= 3 (Theorem 1).
-/// Inductive construction (DESIGN.md 2.3): exactly p C3 and p(p-1)/2 C4,
-/// p = (n-1)/2, meeting the capacity lower bound. O(n^2) time/output.
+/// Inductive construction (see construct_odd.cpp): exactly p C3 and
+/// p(p-1)/2 C4, p = (n-1)/2, meeting the capacity lower bound. O(n^2)
+/// time/output.
 RingCover construct_odd_cover(std::uint32_t n);
 
-/// Optimal DRC-covering of K_n over C_n for even n >= 4 (Theorem 2).
-/// Chain construction (DESIGN.md 2.4): alternating two-vertex insertion
-/// steps with dup-triangle breaks; exactly rho(n) cycles and, for n >= 6,
-/// the paper's composition (4 C3 for n = 4q, 2 C3 for n = 4q+2).
+/// DRC-covering of K_n over C_n for even n >= 4 (Theorem 2). For n <= 12
+/// it is optimal: exactly rho(n) cycles and, for n >= 6, the paper's
+/// composition (4 C3 for n = 4q, 2 C3 for n = 4q+2), from hand-checked
+/// bases plus a two-vertex insertion step (EvenExactParam). For n >= 14 it
+/// has rho(n) + floor((p-1)/2) cycles, p = n/2
+/// (EvenGeneralParam.WithinDocumentedGapOfRho).
 RingCover construct_even_cover(std::uint32_t n);
 
-/// Dispatch to the odd/even construction. The result always validates and
-/// has exactly rho(n) cycles.
+/// Dispatch to the odd/even construction. The result always validates; it
+/// has exactly rho(n) cycles except for even n >= 14, where it has
+/// rho(n) + floor((p-1)/2), p = n/2 (see construct_even_cover).
 RingCover build_optimal_cover(std::uint32_t n);
 
 }  // namespace ccov::covering

@@ -13,9 +13,11 @@
 namespace ccov::covering {
 
 struct SolverOptions {
-  /// Maximum cycle length to branch on. Sizes {3,4} suffice to reach the
-  /// theorems' optima; since the matching lower bound certifies them, the
-  /// restricted search still proves rho(n) whenever it succeeds.
+  /// Maximum cycle length to branch on: 3 means triangles only, and any
+  /// value >= 4 means C3 and C4 (the search never branches on longer
+  /// cycles). Sizes {3,4} suffice to reach the theorems' optima; since
+  /// the matching lower bound certifies them, the restricted search still
+  /// proves rho(n) whenever it succeeds.
   std::uint32_t max_cycle_len = 4;
   /// Node budget (branch evaluations) before giving up.
   std::uint64_t max_nodes = 200'000'000;
@@ -41,7 +43,8 @@ struct SolverResult {
   RingCover cover;             ///< witness when found
 };
 
-/// Search for a DRC-covering of K_n with at most `budget` cycles.
+/// Search for a DRC-covering of K_n (n >= 3, else std::invalid_argument)
+/// with at most `budget` cycles.
 SolverResult solve_with_budget(std::uint32_t n, std::uint64_t budget,
                                const SolverOptions& opts = {});
 
@@ -55,18 +58,17 @@ std::optional<std::pair<std::uint64_t, RingCover>> solve_minimum(
     std::uint32_t n, const SolverOptions& opts = {},
     SolverResult* last = nullptr);
 
-/// Parallel variant: fans the root branching (the candidate cycles through
-/// chord (0, 1)) across a thread pool. All workers draw from one shared
-/// atomic node budget (`opts.max_nodes` total, like the serial search —
-/// not per worker), and the returned witness is always the one from the
-/// lowest successful root subtree, i.e. exactly the cover the serial
-/// search returns. Whenever the node budget is not exhausted, `nodes`
-/// and `cover` are byte-identical to solve_with_budget; workers that can
-/// no longer produce the winning subtree cancel themselves early. If a
-/// subtree below the winner was starved by the shared budget, the
-/// witness is still a valid cover but may differ from the serial one,
-/// and the result reports `exhausted == false` to flag the truncation.
-/// `threads == 0` selects hardware concurrency.
+/// Parallel variant; solve_with_budget is its one-worker case, which
+/// starts no thread. The root node is visited once, then `threads`
+/// workers (the caller plus threads-1 helpers; 0 = hardware concurrency,
+/// capped at the root fan-out) claim the root subtrees in index order,
+/// drawing from one node budget (`opts.max_nodes` in total). The witness
+/// is the lowest successful subtree's, i.e. the serial cover. Once a
+/// subtree stops for the budget, deadline or cancel token, no further
+/// subtree starts. So `nodes` and `cover` equal the serial result
+/// whenever nothing stops, and every field does at threads == 1. If a
+/// subtree below the winner stopped, the cover is valid but may differ
+/// from the serial one, and `exhausted == false` flags it.
 SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
                                         const SolverOptions& opts = {},
                                         std::size_t threads = 0);

@@ -4,6 +4,11 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
+#include <optional>
+#include <span>
+#include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "ccov/covering/bounds.hpp"
@@ -17,16 +22,36 @@ namespace ccov::covering {
 
 namespace {
 
-/// Shared node pool for the parallel search. Workers reserve chunks so the
-/// hot path touches the atomic once every kNodeChunk nodes instead of once
-/// per node, and return unused grants when their subtree completes, so the
-/// total node spend across all workers never exceeds the configured budget
-/// (the old per-worker budgets could overshoot by a factor of the root
-/// fan-out).
-struct SharedNodeBudget {
-  explicit SharedNodeBudget(std::uint64_t total) : remaining(total) {}
+constexpr std::uint64_t kNodeChunk = 4096;
+/// Deadline, cancel-token and winner poll cadence: every 4096 nodes,
+/// amortizing the clock read to nothing. The masked test itself runs on
+/// every node even when both controls are unset, so arming them never
+/// changes which nodes a non-interrupted search visits — the golden node
+/// counts stay byte-identical.
+constexpr std::uint64_t kInterruptCheckMask = 4095;
+constexpr std::size_t kNoWinner = std::numeric_limits<std::size_t>::max();
 
-  std::atomic<std::uint64_t> remaining;
+/// Why a worker's search stopped before finishing its subtree.
+enum class Stop : std::uint8_t {
+  kNone,      // still running, or the subtree was searched in full
+  kBudget,    // the shared node budget ran out
+  kDeadline,  // opts.deadline expired
+  kCancel,    // *opts.cancel fired
+  kLost,      // a lower-index root subtree already succeeded
+};
+
+/// State the workers of one search share, above all the node budget.
+/// Workers reserve nodes in chunks, so the hot path touches the atomic
+/// once every kNodeChunk nodes instead of once per node, and hand back
+/// what they did not use when they stop. The total spend thus exceeds
+/// the budget by at most the one node each worker counts when it stops.
+struct Shared {
+  explicit Shared(std::uint64_t max_nodes) : remaining(max_nodes) {}
+
+  std::atomic<std::uint64_t> remaining;        // node budget left
+  std::atomic<std::size_t> next{0};            // next root subtree to claim
+  std::atomic<std::size_t> winner{kNoWinner};  // lowest successful root
+  std::atomic<bool> halted{false};  // a subtree ended early: claim no more
 
   std::uint64_t take(std::uint64_t want) {
     std::uint64_t cur = remaining.load(std::memory_order_relaxed);
@@ -44,16 +69,6 @@ struct SharedNodeBudget {
   }
 };
 
-constexpr std::uint64_t kNodeChunk = 4096;
-constexpr std::uint64_t kCancelCheckMask = 1023;  // check every 1024 nodes
-/// Deadline/cancel-token poll cadence: every 4096 nodes, amortizing the
-/// clock read to nothing. The masked test itself runs on every node even
-/// when both controls are unset, so arming them never changes which
-/// nodes a non-interrupted search visits — the golden node counts stay
-/// byte-identical.
-constexpr std::uint64_t kInterruptCheckMask = 4095;
-constexpr std::size_t kNoWinner = std::numeric_limits<std::size_t>::max();
-
 struct Search {
   std::uint32_t n;
   ring::Ring r;
@@ -67,24 +82,19 @@ struct Search {
   ChordBitset uncovered;
   std::uint64_t remaining_load = 0;  // sum of minor distances of uncovered
 
-  std::uint64_t nodes = 0;
-  bool node_budget_hit = false;
-  bool cancelled = false;     // a lower-index parallel root already won
-  bool deadline_hit = false;  // opts.deadline expired mid-search
-  bool cancel_hit = false;    // *opts.cancel fired mid-search
+  std::uint64_t nodes = 0;  // over every subtree this worker searched
+  Stop stop = Stop::kNone;
   std::vector<SmallCycle> chosen;
   std::vector<Cycle> best;
   bool found = false;
 
-  // Parallel wiring; all null/unused in the serial search.
-  SharedNodeBudget* shared_budget = nullptr;
-  std::uint64_t grant = 0;  // nodes pre-reserved from shared_budget
-  const std::atomic<std::size_t>* winner = nullptr;
-  std::size_t root_index = 0;
+  Shared* shared;              // null only in candidate_cycles
+  std::uint64_t grant = 0;     // nodes pre-reserved from *shared
+  std::size_t root_index = 0;  // root subtree being searched
 
   // Per-depth scratch. Candidates are generated into gen[] in
   // lexicographic order, then stable-bucketed by freshness into
-  // ordered[]. prepare() sizes the arena for the whole search up front,
+  // ordered[]. The constructor sizes the arena for the whole search,
   // so the steady-state DFS performs no allocation and references into
   // the arena are never invalidated by deeper levels.
   struct DepthScratch {
@@ -94,42 +104,35 @@ struct Search {
   };
   std::vector<DepthScratch> arena;
 
-  explicit Search(std::uint32_t nn, const SolverOptions& o)
+  /// The empty state, with every per-depth scratch buffer and the chosen
+  /// stack preallocated for a search of at most `budget` cycles. Each
+  /// chosen cycle covers at least one new chord (every candidate contains
+  /// the branching chord), so the DFS depth is also bounded by the chord
+  /// count.
+  Search(std::uint32_t nn, const SolverOptions& o, Shared* sh,
+         std::uint64_t budget)
       : n(nn),
         r(nn),
         opts(o),
         covered(static_cast<std::size_t>(nn) * nn, 0),
-        uncovered(nn) {
+        uncovered(nn),
+        shared(sh) {
     uncovered.set_all_chords();
     for (Vertex a = 0; a < n; ++a)
       for (Vertex b = a + 1; b < n; ++b) remaining_load += r.dist(a, b);
-  }
-
-  /// Largest possible candidate list: n-2 triangles plus quads whose two
-  /// extra vertices share one of the two open arcs.
-  std::size_t max_candidates() const {
-    const std::size_t m = n - 2;
-    return m + m * (m - 1) / 2;
-  }
-
-  /// Preallocate every per-depth scratch buffer and the chosen stack for
-  /// a search of at most `budget` cycles. Each chosen cycle covers at
-  /// least one new chord (every candidate contains the branching chord),
-  /// so the DFS depth is also bounded by the chord count.
-  void prepare(std::uint64_t budget) {
     const std::uint64_t chords =
         static_cast<std::uint64_t>(n) * (n - 1) / 2;
     const std::size_t depth_cap =
         static_cast<std::size_t>(budget < chords ? budget : chords);
     chosen.reserve(depth_cap);
     arena.resize(depth_cap);
-    const std::size_t cap = max_candidates();
+    // Largest candidate list: n-2 triangles plus quads whose two extra
+    // vertices share one of the two open arcs.
+    const std::size_t m = n - 2, cap = m + m * (m - 1) / 2;
     for (DepthScratch& s : arena) {
-      if (s.gen.capacity() == 0) {
-        s.gen.reserve(cap);
-        s.fresh.reserve(cap);
-        s.ordered.reserve(cap);
-      }
+      s.gen.reserve(cap);
+      s.fresh.reserve(cap);
+      s.ordered.reserve(cap);
     }
   }
 
@@ -215,34 +218,27 @@ struct Search {
     return k;
   }
 
-  /// Count one branch node against the budget; false aborts the search.
+  /// Count one branch node against the shared budget; false aborts the
+  /// search and records why in `stop`.
   bool consume_node() {
     ++nodes;
     if ((nodes & kInterruptCheckMask) == 0) {
       if (opts.cancel != nullptr && opts.cancel->cancelled()) {
-        cancel_hit = true;
+        stop = Stop::kCancel;
         return false;
       }
       if (opts.deadline.expired()) {
-        deadline_hit = true;
+        stop = Stop::kDeadline;
+        return false;
+      }
+      if (shared->winner.load(std::memory_order_relaxed) < root_index) {
+        stop = Stop::kLost;
         return false;
       }
     }
-    if (winner != nullptr && (nodes & kCancelCheckMask) == 0 &&
-        winner->load(std::memory_order_relaxed) < root_index) {
-      cancelled = true;
-      return false;
-    }
-    if (shared_budget == nullptr) {
-      if (nodes > opts.max_nodes) {
-        node_budget_hit = true;
-        return false;
-      }
-      return true;
-    }
-    if (grant == 0) grant = shared_budget->take(kNodeChunk);
+    if (grant == 0) grant = shared->take(kNodeChunk);
     if (grant == 0) {
-      node_budget_hit = true;
+      stop = Stop::kBudget;
       return false;
     }
     --grant;
@@ -256,169 +252,150 @@ struct Search {
     found = true;
   }
 
-  bool dfs(std::uint64_t budget) {
-    if (!consume_node()) return false;
+  /// Visit one branch node with `budget` cycles left: count it, then
+  /// finish on a witness, a stop, the zero-budget exit or the capacity
+  /// prune (returning no candidates), or else return the candidates for
+  /// the first uncovered chord in branching order.
+  std::span<const SmallCycle> expand(std::uint64_t budget) {
+    if (!consume_node()) return {};
     Vertex a = 0, b = 0;
     if (!uncovered.first(a, b)) {
       record_witness();
-      return true;
+      return {};
     }
-    if (budget == 0) return false;
+    if (budget == 0) return {};
     // Capacity prune: each further cycle supplies exactly n units of arc
     // length, every uncovered chord costs at least its minor distance.
     if (opts.use_capacity_prune &&
         util::ceil_div<std::uint64_t>(remaining_load, n) > budget)
-      return false;
-    const std::size_t depth = chosen.size();
-    generate(a, b, arena[depth]);
-    const std::size_t k = order_candidates(arena[depth]);
-    for (std::size_t i = 0; i < k; ++i) {
-      const SmallCycle c = arena[depth].ordered[i];
-      apply(c, +1);
-      chosen.push_back(c);
-      if (dfs(budget - 1)) return true;
-      chosen.pop_back();
-      apply(c, -1);
-      if (node_budget_hit || cancelled || deadline_hit || cancel_hit)
-        return false;
-    }
+      return {};
+    DepthScratch& s = arena[chosen.size()];
+    generate(a, b, s);
+    return {s.ordered.data(), order_candidates(s)};
+  }
+
+  /// Choose `c` below a node with `budget` cycles left and search on;
+  /// undone again unless that finds a witness.
+  bool descend(SmallCycle c, std::uint64_t budget) {
+    apply(c, +1);
+    chosen.push_back(c);
+    if (dfs(budget - 1)) return true;
+    chosen.pop_back();
+    apply(c, -1);
     return false;
   }
+
+  bool dfs(std::uint64_t budget) {
+    for (const SmallCycle& c : expand(budget)) {
+      if (descend(c, budget)) return true;
+      if (stop != Stop::kNone) return false;
+    }
+    return found;
+  }
 };
+
+/// What one root subtree cost and how it ended.
+struct Subtree {
+  std::uint64_t nodes = 0;
+  Stop stop = Stop::kNone;
+  std::vector<Cycle> witness;  // when the subtree succeeded
+};
+
+/// Search root subtrees with `s`, claiming them in index order, until
+/// none is left or one ends early (a witness or a stop). Then no worker
+/// claims another: every later index would lose to the witness, and
+/// after a stop the search is no proof anyway.
+void claim_subtrees(Search& s, std::span<const SmallCycle> roots,
+                    std::uint64_t budget, std::vector<Subtree>& out) {
+  Shared& sh = *s.shared;
+  while (!sh.halted.load(std::memory_order_relaxed)) {
+    const std::size_t i = sh.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= roots.size()) break;
+    s.root_index = i;
+    const std::uint64_t before = s.nodes;
+    const bool ok = s.descend(roots[i], budget);
+    out[i].nodes = s.nodes - before;
+    out[i].stop = s.stop;
+    if (!ok && s.stop == Stop::kNone) continue;
+    if (ok) {
+      out[i].witness = std::move(s.best);
+      std::size_t cur = sh.winner.load(std::memory_order_relaxed);
+      while (i < cur && !sh.winner.compare_exchange_weak(cur, i)) {
+      }
+    }
+    sh.halted.store(true, std::memory_order_relaxed);
+    break;
+  }
+  sh.give_back(std::exchange(s.grant, 0));
+}
+
+/// The one search routine. The caller's Search visits the root node, whose
+/// candidates (every cycle through chord (0, 1)) become the root
+/// subtrees. `workers` Searches then claim them: the caller's, plus one
+/// per pool thread when workers > 1. A one-worker run is the plain serial
+/// DFS and starts no thread.
+SolverResult run_search(std::uint32_t n, std::uint64_t budget,
+                        const SolverOptions& opts, std::size_t workers) {
+  if (n < 3) throw std::invalid_argument("solve: n >= 3 required");
+  Shared shared(opts.max_nodes);
+  Search lead(n, opts, &shared, budget);
+  const std::span<const SmallCycle> roots = lead.expand(budget);
+  SolverResult res;
+  res.nodes = lead.nodes;
+  bool clean = lead.stop == Stop::kNone;
+
+  std::vector<Subtree> out(roots.size());
+  if (workers == 0) workers = std::thread::hardware_concurrency();
+  const std::size_t helpers =
+      std::max<std::size_t>(std::min(workers, roots.size()), 1) - 1;
+  {
+    std::optional<util::ThreadPool> pool;
+    util::TaskGroup group;
+    if (helpers > 0) pool.emplace(helpers);
+    for (std::size_t k = 0; k < helpers; ++k)
+      pool->submit(group, [&] {
+        Search s(n, opts, &shared, budget);
+        claim_subtrees(s, roots, budget, out);
+      });
+    claim_subtrees(lead, roots, budget, out);
+    group.wait();
+  }
+
+  // Merge. The witness is the lowest successful subtree's, exactly the
+  // one a one-worker search commits to, and the subtrees before it are
+  // the ones that search spends its nodes on. If one of those stopped
+  // early, a one-worker search might have committed elsewhere;
+  // exhausted == false flags that.
+  const std::size_t w = shared.winner.load();
+  const std::size_t counted = w == kNoWinner ? out.size() : w + 1;
+  for (std::size_t i = 0; i < counted; ++i) {
+    res.nodes += out[i].nodes;
+    clean = clean && out[i].stop == Stop::kNone;
+    res.timed_out = res.timed_out || out[i].stop == Stop::kDeadline;
+    res.cancelled = res.cancelled || out[i].stop == Stop::kCancel;
+  }
+  res.exhausted = clean;
+  if (w != kNoWinner) {
+    // A witness in hand beats a timeout: a found cover is never timed_out.
+    res.found = true;
+    res.timed_out = false;
+    res.cancelled = false;
+    res.cover = RingCover{n, std::move(out[w].witness)};
+  }
+  return res;
+}
 
 }  // namespace
 
 SolverResult solve_with_budget(std::uint32_t n, std::uint64_t budget,
                                const SolverOptions& opts) {
-  Search s(n, opts);
-  s.prepare(budget);
-  SolverResult res;
-  const bool ok = s.dfs(budget);
-  res.found = ok;
-  res.nodes = s.nodes;
-  res.timed_out = s.deadline_hit;
-  res.cancelled = s.cancel_hit;
-  res.exhausted = !s.node_budget_hit && !s.deadline_hit && !s.cancel_hit;
-  if (ok) res.cover = RingCover{n, std::move(s.best)};
-  return res;
+  return run_search(n, budget, opts, 1);
 }
 
 SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
                                         const SolverOptions& opts,
                                         std::size_t threads) {
-  // Root candidates: every cycle through the lexicographically first chord
-  // (0, 1). Each becomes an independent subtree; the dihedral symmetry of
-  // the empty state is broken the same way the serial search breaks it.
-  // The serial root node is mirrored exactly (one node consumed, then the
-  // zero-budget and capacity-prune exits) so node counts and witnesses
-  // agree with solve_with_budget whenever the node budget is not hit.
-  SolverResult res;
-  Search root(n, opts);
-  res.nodes = 1;  // the shared root node
-  if (opts.max_nodes == 0) return res;  // budget hit at the root
-  Vertex a = 0, b = 0;
-  if (!root.uncovered.first(a, b)) {  // unreachable for n >= 3
-    res.found = true;
-    res.exhausted = true;
-    res.cover = RingCover{n, {}};
-    return res;
-  }
-  if (budget == 0) {
-    res.exhausted = true;
-    return res;
-  }
-  if (opts.use_capacity_prune &&
-      util::ceil_div<std::uint64_t>(root.remaining_load, n) > budget) {
-    res.exhausted = true;
-    return res;
-  }
-
-  Search::DepthScratch root_scratch;
-  root.generate(a, b, root_scratch);
-  const std::size_t fanout = root.order_candidates(root_scratch);
-  const std::vector<SmallCycle> roots = root_scratch.ordered;
-
-  // Workers share the remaining node budget and clone the initialized
-  // root state instead of recomputing it. The winner is the *lowest*
-  // successful root index — exactly the subtree the serial search would
-  // have succeeded in first — so the returned cover is byte-identical to
-  // the serial one; workers that can no longer win cancel themselves.
-  SharedNodeBudget node_pool(opts.max_nodes - 1);
-  std::atomic<std::size_t> winner{kNoWinner};
-  struct WorkerResult {
-    std::uint64_t nodes = 0;
-    bool found = false;
-    bool budget_hit = false;
-    bool cancelled = false;
-    bool timed_out = false;
-    bool cancel_hit = false;
-    std::vector<Cycle> best;
-  };
-  std::vector<WorkerResult> results(fanout);
-
-  util::ThreadPool pool(threads);
-  util::parallel_for(pool, 0, fanout, [&](std::size_t i) {
-    if (winner.load(std::memory_order_relaxed) < i) {
-      results[i].cancelled = true;
-      return;
-    }
-    Search s(root);  // clone-from-root: no per-root O(n^2) re-init
-    s.prepare(budget);
-    s.shared_budget = &node_pool;
-    s.winner = &winner;
-    s.root_index = i;
-    s.apply(roots[i], +1);
-    s.chosen.push_back(roots[i]);
-    const bool ok = s.dfs(budget - 1);
-    node_pool.give_back(s.grant);
-    WorkerResult& out = results[i];
-    out.nodes = s.nodes;
-    out.budget_hit = s.node_budget_hit;
-    out.cancelled = s.cancelled;
-    out.timed_out = s.deadline_hit;
-    out.cancel_hit = s.cancel_hit;
-    if (ok) {
-      out.found = true;
-      out.best = std::move(s.best);
-      std::size_t cur = winner.load(std::memory_order_relaxed);
-      while (i < cur && !winner.compare_exchange_weak(cur, i)) {
-      }
-    }
-  });
-
-  const std::size_t w = winner.load();
-  if (w != kNoWinner) {
-    // Subtrees before the winner ran to completion (a worker only cancels
-    // when a *lower* index already won), so this sum reproduces the
-    // serial node count — unless one of them was starved by the shared
-    // budget, in which case the serial search might have spent the whole
-    // budget there and committed to a different result. exhausted=false
-    // flags that budget-truncated (possibly non-serial) witness.
-    bool clean = true;
-    for (std::size_t i = 0; i <= w; ++i) {
-      res.nodes += results[i].nodes;
-      // A timed-out or token-cancelled sibling subtree means the serial
-      // search might have committed elsewhere — same truncation flag as
-      // a budget-starved one. A found cover is still reported as found
-      // (never timed_out): a witness in hand beats a timeout.
-      if (results[i].budget_hit || results[i].timed_out ||
-          results[i].cancel_hit)
-        clean = false;
-    }
-    res.found = true;
-    res.exhausted = clean;
-    res.cover = RingCover{n, std::move(results[w].best)};
-    return res;
-  }
-  bool all_exhausted = true;
-  for (const WorkerResult& r : results) {
-    res.nodes += r.nodes;
-    if (r.budget_hit) all_exhausted = false;
-    if (r.timed_out) res.timed_out = true;
-    if (r.cancel_hit) res.cancelled = true;
-  }
-  res.exhausted = all_exhausted && !res.timed_out && !res.cancelled;
-  return res;
+  return run_search(n, budget, opts, threads);
 }
 
 std::optional<std::pair<std::uint64_t, RingCover>> solve_minimum(
@@ -450,7 +427,7 @@ namespace detail {
 
 std::vector<Cycle> candidate_cycles(std::uint32_t n, Vertex a, Vertex b,
                                     const SolverOptions& opts) {
-  Search s(n, opts);
+  Search s(n, opts, nullptr, 0);
   Search::DepthScratch scratch;
   s.generate(a, b, scratch);
   const std::size_t k = s.order_candidates(scratch);

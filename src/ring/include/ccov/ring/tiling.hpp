@@ -1,8 +1,9 @@
 #pragma once
 /// \file tiling.hpp
-/// Exact tilings of the ring by arcs. Section 2.2 of DESIGN.md: a cycle
-/// admits a DRC routing iff its routing arcs tile the ring exactly once
-/// (winding number 1), so tilings are the combinatorial heart of the paper.
+/// Exact tilings of the ring by arcs. A cycle admits a DRC routing iff its
+/// routing arcs tile the ring exactly once (winding number 1; see drc.hpp
+/// and the Drc.RouteTilesRingExactly test), so tilings are the
+/// combinatorial heart of the paper.
 
 #include <cstdint>
 #include <vector>

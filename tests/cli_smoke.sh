@@ -140,6 +140,29 @@ for flag in --max-line --batch; do
     || fail "'serve ${flag} -1' error should name the flag: $(cat "${ERR}")"
 done
 
+echo "== negative integer flags are refused, not wrapped to huge values"
+for args in "solve --n -1" "solve --n 9 --budget -1" "sweep --n-to -1"; do
+  ERR="${TMPDIR_SMOKE}/negint.err"
+  flag="--$(echo "${args}" | sed 's/.*--\([a-z-]*\) -1$/\1/')"
+  # shellcheck disable=SC2086
+  if "${CCOV}" ${args} >/dev/null 2>"${ERR}"; then
+    fail "'ccov ${args}' should exit nonzero"
+  fi
+  [ "$(wc -l < "${ERR}")" -eq 1 ] || fail "'ccov ${args}' should print exactly one stderr line"
+  grep -q -- "${flag} must be >= 0" "${ERR}" \
+    || fail "'ccov ${args}' error should name ${flag}: $(cat "${ERR}")"
+done
+# The range loop counts past the largest 32-bit n instead of wrapping to 0.
+ROWS=$(timeout 20 "${CCOV}" sweep --n-from 4294967294 --n-to 4294967295 \
+  --algo frobnicate 2>/dev/null | wc -l) || true
+[ "${ROWS}" -eq 3 ] || fail "a sweep ending at n = 2^32-1 should print 2 rows, got $((ROWS - 1))"
+ERR="${TMPDIR_SMOKE}/bigint.err"
+if "${CCOV}" bounds --n 4294967296 >/dev/null 2>"${ERR}"; then
+  fail "'bounds --n 4294967296' should exit nonzero"
+fi
+grep -q -- "--n must be <= 4294967295" "${ERR}" \
+  || fail "'bounds --n 4294967296' error should name --n: $(cat "${ERR}")"
+
 echo "== ccov serve (JSONL round trip, byte-identical across --jobs)"
 REQS="${TMPDIR_SMOKE}/requests.jsonl"
 cat > "${REQS}" <<'EOF'

@@ -2,6 +2,7 @@
 
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/solver.hpp"
+#include "ccov/util/timer.hpp"
 
 using namespace ccov::covering;
 
@@ -38,6 +39,56 @@ TEST(ParallelSolver, ZeroBudgetInfeasible) {
   EXPECT_TRUE(res.exhausted);
 }
 
+TEST(ParallelSolver, MoreThreadsThanRootSubtrees) {
+  // K_5 has far fewer root subtrees than 64; the surplus threads are
+  // never started and the answer is the serial one.
+  const auto ser = solve_with_budget(5, rho(5));
+  const auto par = solve_with_budget_parallel(5, rho(5), {}, 64);
+  ASSERT_TRUE(par.found);
+  EXPECT_EQ(par.nodes, ser.nodes);
+  EXPECT_EQ(par.cover.cycles, ser.cover.cycles);
+}
+
+TEST(ParallelSolver, OneThreadMatchesSerialWhenTheBudgetRunsOut) {
+  // Once the shared budget runs out no further root subtree is entered,
+  // so a one-thread run spends exactly the serial nodes.
+  SolverOptions opts;
+  opts.max_nodes = 10;
+  const auto ser = solve_with_budget(8, rho(8) - 1, opts);
+  const auto par = solve_with_budget_parallel(8, rho(8) - 1, opts, 1);
+  EXPECT_FALSE(par.found);
+  EXPECT_EQ(par.nodes, ser.nodes);
+  EXPECT_EQ(par.exhausted, ser.exhausted);
+}
+
+TEST(ParallelSolver, ZeroNodeBudgetStopsAtTheRoot) {
+  SolverOptions opts;
+  opts.max_nodes = 0;
+  const std::size_t thread_counts[] = {1, 4};
+  for (const std::size_t threads : thread_counts) {
+    const auto res = solve_with_budget_parallel(8, rho(8), opts, threads);
+    EXPECT_FALSE(res.found) << "threads=" << threads;
+    EXPECT_FALSE(res.exhausted) << "threads=" << threads;
+    EXPECT_EQ(res.nodes, 1u) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelSolver, AnAlreadyCancelledTokenStopsEveryWorkerAlmostImmediately) {
+  // K_10 at budget 13 runs for seconds uncancelled. Each worker polls
+  // the token every 4096 of its own nodes and, once one stops, no worker
+  // claims another root subtree.
+  ccov::util::CancelToken tok;
+  tok.cancel();
+  SolverOptions opts;
+  opts.cancel = &tok;
+  const std::size_t threads = 4;
+  const auto res = solve_with_budget_parallel(10, 13, opts, threads);
+  EXPECT_TRUE(res.cancelled);
+  EXPECT_FALSE(res.found);
+  EXPECT_FALSE(res.exhausted);
+  EXPECT_LE(res.nodes, threads * 4096u);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: the parallel search returns the witness of the *lowest*
 // successful root subtree — exactly the one the serial search commits to —
@@ -65,10 +116,14 @@ TEST_P(ParallelDeterminismParam, NodesAndCoverMatchSerial) {
 TEST_P(ParallelDeterminismParam, NodesMatchSerialOnInfeasible) {
   const std::uint32_t n = GetParam();
   const auto ser = solve_with_budget(n, rho(n) - 1);
-  const auto par = solve_with_budget_parallel(n, rho(n) - 1);
-  EXPECT_FALSE(par.found) << "n=" << n;
-  EXPECT_EQ(par.exhausted, ser.exhausted) << "n=" << n;
-  EXPECT_EQ(par.nodes, ser.nodes) << "n=" << n;
+  const std::size_t thread_counts[] = {1, 4, 0};
+  for (const std::size_t threads : thread_counts) {
+    const auto par = solve_with_budget_parallel(n, rho(n) - 1, {}, threads);
+    EXPECT_FALSE(par.found) << "n=" << n << " threads=" << threads;
+    EXPECT_EQ(par.exhausted, ser.exhausted)
+        << "n=" << n << " threads=" << threads;
+    EXPECT_EQ(par.nodes, ser.nodes) << "n=" << n << " threads=" << threads;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Golden, ParallelDeterminismParam,

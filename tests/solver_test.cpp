@@ -61,6 +61,9 @@ TEST(Solver, NodeBudgetReported) {
   const auto res = solve_with_budget(8, rho(8) - 1, opts);
   EXPECT_FALSE(res.found);
   EXPECT_FALSE(res.exhausted);
+  // Nodes 1..max_nodes are granted; node max_nodes + 1 finds the budget
+  // spent, is counted, and stops the search.
+  EXPECT_EQ(res.nodes, opts.max_nodes + 1);
 }
 
 TEST(Solver, TrivialK3) {

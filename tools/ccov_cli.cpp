@@ -28,9 +28,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/construct.hpp"
@@ -122,14 +126,20 @@ std::size_t warm_capacity(const std::string& cache_file, std::size_t floor) {
   return std::max(floor, 2 * entries);
 }
 
-/// A size flag: --flag's integer value, or an error naming the flag when
-/// it is negative (a plain cast would wrap it to SIZE_MAX and silently
-/// switch the bound off).
-std::size_t get_size(const ccov::util::Cli& cli, const std::string& flag,
-                     std::size_t def) {
+/// An unsigned integer flag: --flag's value, or an error naming the flag
+/// when it is negative or above T's maximum (a plain cast would wrap it,
+/// turning a size bound off or a vertex count into a huge allocation).
+template <typename T>
+T get_uint(const ccov::util::Cli& cli, const std::string& flag, T def) {
   const std::int64_t v = cli.get_int(flag, static_cast<std::int64_t>(def));
   if (v < 0) throw std::invalid_argument("--" + flag + " must be >= 0");
-  return static_cast<std::size_t>(v);
+  if constexpr (sizeof(T) < sizeof(std::int64_t)) {
+    if (v > static_cast<std::int64_t>(std::numeric_limits<T>::max()))
+      throw std::invalid_argument(
+          "--" + flag + " must be <= " +
+          std::to_string(std::numeric_limits<T>::max()));
+  }
+  return static_cast<T>(v);
 }
 
 /// Load `cache_file` into the cache when it exists; 0 entries otherwise.
@@ -145,15 +155,33 @@ ccov::engine::CoverRequest make_request(const ccov::util::Cli& cli,
   ccov::engine::CoverRequest req;
   req.algorithm = cli.get("algo", "construct");
   req.n = n;
-  req.budget = static_cast<std::uint64_t>(cli.get_int("budget", 0));
-  req.lambda = static_cast<std::uint32_t>(cli.get_int("lambda", 1));
-  req.threads = get_size(cli, "threads", 0);
+  req.budget = get_uint<std::uint64_t>(cli, "budget", 0);
+  req.lambda = get_uint<std::uint32_t>(cli, "lambda", 1);
+  req.threads = get_uint<std::size_t>(cli, "threads", 0);
   req.validate = !cli.has("no-validate");
   return req;
 }
 
+/// One request per n in --n-from..--n-to by --step, or nullopt after
+/// printing `who`'s range error. n counts in 64 bits, so the loop ends
+/// even when --n-to is the largest 32-bit value.
+std::optional<std::vector<ccov::engine::CoverRequest>> range_requests(
+    const ccov::util::Cli& cli, const std::string& who) {
+  const auto n_from = get_uint<std::uint32_t>(cli, "n-from", 3);
+  const auto n_to = get_uint<std::uint32_t>(cli, "n-to", n_from);
+  const auto step = get_uint<std::uint32_t>(cli, "step", 1);
+  if (n_from < 3 || n_to < n_from || step == 0) {
+    std::cerr << who << ": need 3 <= --n-from <= --n-to and --step >= 1\n";
+    return std::nullopt;
+  }
+  std::vector<ccov::engine::CoverRequest> requests;
+  for (std::uint64_t n = n_from; n <= n_to; n += step)
+    requests.push_back(make_request(cli, static_cast<std::uint32_t>(n)));
+  return requests;
+}
+
 int cmd_cover(const ccov::util::Cli& cli) {
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 9));
+  const auto n = get_uint<std::uint32_t>(cli, "n", 9);
   const auto cover = ccov::covering::build_optimal_cover(n);
   std::cout << ccov::covering::summary(cover) << "\n";
   const std::string out = cli.get("out", "");
@@ -180,7 +208,7 @@ int cmd_validate(const ccov::util::Cli& cli) {
 }
 
 int cmd_bounds(const ccov::util::Cli& cli) {
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 9));
+  const auto n = get_uint<std::uint32_t>(cli, "n", 9);
   using namespace ccov::covering;
   std::cout << "n = " << n << "\n"
             << "rho(n)            = " << rho(n) << "\n"
@@ -195,11 +223,9 @@ int cmd_bounds(const ccov::util::Cli& cli) {
 }
 
 int cmd_solve(const ccov::util::Cli& cli) {
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 7));
+  const auto n = get_uint<std::uint32_t>(cli, "n", 7);
   using namespace ccov::covering;
-  const auto budget =
-      static_cast<std::uint64_t>(cli.get_int("budget",
-                                             static_cast<std::int64_t>(rho(n))));
+  const auto budget = get_uint<std::uint64_t>(cli, "budget", rho(n));
   const auto res = cli.has("parallel")
                        ? solve_with_budget_parallel(n, budget)
                        : solve_with_budget(n, budget);
@@ -214,8 +240,8 @@ int cmd_solve(const ccov::util::Cli& cli) {
 }
 
 int cmd_protect(const ccov::util::Cli& cli) {
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 12));
-  const auto edge = static_cast<std::uint32_t>(cli.get_int("edge", 0));
+  const auto n = get_uint<std::uint32_t>(cli, "n", 12);
+  const auto edge = get_uint<std::uint32_t>(cli, "edge", 0);
   const auto cover = ccov::covering::build_optimal_cover(n);
   const auto inst = ccov::wdm::Instance::all_to_all(n);
   const ccov::wdm::WdmRingNetwork net(n, cover, inst);
@@ -229,7 +255,7 @@ int cmd_protect(const ccov::util::Cli& cli) {
 }
 
 int cmd_run(const ccov::util::Cli& cli) {
-  const auto n = static_cast<std::uint32_t>(cli.get_int("n", 9));
+  const auto n = get_uint<std::uint32_t>(cli, "n", 9);
   const auto req = make_request(cli, n);
   ccov::engine::Engine engine;
   const auto resp = engine.run(req);
@@ -258,25 +284,14 @@ int cmd_run(const ccov::util::Cli& cli) {
 }
 
 int cmd_sweep(const ccov::util::Cli& cli) {
-  const auto n_from = static_cast<std::uint32_t>(cli.get_int("n-from", 3));
-  const auto n_to =
-      static_cast<std::uint32_t>(cli.get_int("n-to", n_from));
-  const auto step =
-      static_cast<std::uint32_t>(cli.get_int("step", 1));
-  if (n_from < 3 || n_to < n_from || step == 0) {
-    std::cerr << "sweep: need 3 <= --n-from <= --n-to and --step >= 1\n";
-    return 1;
-  }
+  const auto requests = range_requests(cli, "sweep");
+  if (!requests) return 1;
   const std::string format = cli.get("format", "csv");
   if (format != "csv" && format != "json" && format != "table") {
     std::cerr << "sweep: --format must be csv, json or table\n";
     return 1;
   }
   const bool timing = cli.has("timing");
-
-  std::vector<ccov::engine::CoverRequest> requests;
-  for (std::uint32_t n = n_from; n <= n_to; n += step)
-    requests.push_back(make_request(cli, n));
 
   // --cache-file warm-starts the sweep from a snapshot and persists the
   // merged store afterwards, so repeated sweeps skip solved instances.
@@ -286,8 +301,9 @@ int cmd_sweep(const ccov::util::Cli& cli) {
     eopts.cache_capacity = warm_capacity(cache_file, 1 << 16);
   ccov::engine::Engine engine(eopts);
   load_snapshot_if_exists(cache_file, engine.cache());
-  ccov::engine::BatchRunner runner(engine, {get_size(cli, "jobs", 0)});
-  const auto responses = runner.run(requests);
+  ccov::engine::BatchRunner runner(engine,
+                                   {get_uint<std::size_t>(cli, "jobs", 0)});
+  const auto responses = runner.run(*requests);
   if (!cache_file.empty())
     ccov::engine::save_snapshot_file(cache_file, engine.cache());
 
@@ -345,13 +361,16 @@ int cmd_sweep(const ccov::util::Cli& cli) {
 /// one raises a single coherent error listing exactly what was given.
 ccov::engine::ServeConfig parse_serve_config(const ccov::util::Cli& cli) {
   ccov::engine::ServeConfig config;
-  config.jobs = get_size(cli, "jobs", 1);
-  config.batch = get_size(cli, "batch", 1);
+  config.jobs = get_uint<std::size_t>(cli, "jobs", 1);
+  config.batch = get_uint<std::size_t>(cli, "batch", 1);
   config.cache_file = cli.get("cache-file", "");
-  config.max_line_bytes = get_size(cli, "max-line", std::size_t{1} << 20);
-  config.max_clients = get_size(cli, "max-clients", 64);
-  config.max_body_bytes = get_size(cli, "max-body", config.max_body_bytes);
-  config.default_deadline_ms = get_size(cli, "default-deadline-ms", 0);
+  config.max_line_bytes =
+      get_uint<std::size_t>(cli, "max-line", std::size_t{1} << 20);
+  config.max_clients = get_uint<std::size_t>(cli, "max-clients", 64);
+  config.max_body_bytes =
+      get_uint<std::size_t>(cli, "max-body", config.max_body_bytes);
+  config.default_deadline_ms =
+      get_uint<std::size_t>(cli, "default-deadline-ms", 0);
 
   const struct {
     const char* flag;
@@ -380,7 +399,8 @@ ccov::engine::ServeConfig parse_serve_config(const ccov::util::Cli& cli) {
                                   t.value + "': " + err);
   }
   config.shm_name = cli.get("shm", "");
-  config.shm_ring_bytes = get_size(cli, "shm-ring", config.shm_ring_bytes);
+  config.shm_ring_bytes =
+      get_uint<std::size_t>(cli, "shm-ring", config.shm_ring_bytes);
   if (!config.shm_name.empty() &&
       !ccov::util::ShmByteRing::valid_capacity(config.shm_ring_bytes))
     throw std::invalid_argument(
@@ -415,10 +435,11 @@ int cmd_serve(const ccov::util::Cli& cli) {
   config.cancel = &shutdown_token;
 
   ccov::engine::EngineOptions eopts;
-  eopts.cache_capacity = std::max(get_size(cli, "cache-capacity", 1 << 14),
-                                  warm_capacity(config.cache_file, 0));
-  eopts.cache_shards = get_size(cli, "cache-shards",
-                                ccov::engine::CoverCache::kDefaultShards);
+  eopts.cache_capacity =
+      std::max(get_uint<std::size_t>(cli, "cache-capacity", 1 << 14),
+               warm_capacity(config.cache_file, 0));
+  eopts.cache_shards = get_uint<std::size_t>(
+      cli, "cache-shards", ccov::engine::CoverCache::kDefaultShards);
   const std::string fallback = cli.get("fallback", "");
   if (!fallback.empty() && fallback != "none" && fallback != "greedy")
     throw std::invalid_argument("--fallback must be 'greedy' or 'none' (got '" +
@@ -629,26 +650,16 @@ int cmd_cache(const ccov::util::Cli& cli) {
   if (verb == "save") {
     // Offline warming: run the given sweep through an engine seeded from
     // the snapshot (if present) and persist the merged store.
-    const auto n_from =
-        static_cast<std::uint32_t>(cli.get_int("n-from", 3));
-    const auto n_to =
-        static_cast<std::uint32_t>(cli.get_int("n-to", n_from));
-    const auto step = static_cast<std::uint32_t>(cli.get_int("step", 1));
-    if (n_from < 3 || n_to < n_from || step == 0) {
-      std::cerr << "cache save: need 3 <= --n-from <= --n-to and --step >= "
-                   "1\n";
-      return 1;
-    }
+    const auto requests = range_requests(cli, "cache save");
+    if (!requests) return 1;
     ccov::engine::EngineOptions eopts;
     eopts.cache_capacity = warm_capacity(file, 1 << 16);
     ccov::engine::Engine engine(eopts);
     load_snapshot_if_exists(file, engine.cache());
-    std::vector<ccov::engine::CoverRequest> requests;
-    for (std::uint32_t n = n_from; n <= n_to; n += step)
-      requests.push_back(make_request(cli, n));
-    ccov::engine::BatchRunner runner(engine, {get_size(cli, "jobs", 0)});
+    ccov::engine::BatchRunner runner(engine,
+                                     {get_uint<std::size_t>(cli, "jobs", 0)});
     int failures = 0;
-    for (const auto& resp : runner.run(requests)) {
+    for (const auto& resp : runner.run(*requests)) {
       if (resp.ok) continue;
       ++failures;
       std::cerr << "cache save: " << resp.algorithm << " n=" << resp.n
