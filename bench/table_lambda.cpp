@@ -2,8 +2,9 @@
 // cases with other communication instances such as lambda*K_n").
 //
 // Reports the scaled lower bound vs the lambda-copies construction: exact
-// for odd n (capacity scales linearly), within lambda-1 for even n (the
-// parity obstruction applies only once, not per copy).
+// for odd n (capacity scales linearly). For even n each copy pays rho(n)'s
+// rounding but the bound pays it once per pair of copies, so the gap is
+// 2*floor(lambda/2) for n = 0 mod 4 and floor(lambda/2) for n = 2 mod 4.
 
 #include <iostream>
 
@@ -24,8 +25,9 @@ int main() {
   }
   t.print(std::cout, "DRC-coverings of lambda*K_n over C_n");
   std::cout << "\nShape check: gap = 0 for odd n at every lambda; for even "
-               "n the gap is lambda-1 (one parity unit per extra copy is "
-               "recoverable in principle, left as the paper leaves it: "
-               "future work).\n";
+               "n the gap is 2*floor(lambda/2) when n = 0 mod 4 and "
+               "floor(lambda/2) when n = 2 mod 4 (each copy pays rho(n)'s "
+               "rounding, the bound pays it once per pair of copies; "
+               "closing it is future work, as the paper leaves it).\n";
   return 0;
 }

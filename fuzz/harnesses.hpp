@@ -20,6 +20,9 @@
 /// util/json.hpp Reader — the JSONL serve protocol's parser.
 int ccov_fuzz_json(const std::uint8_t* data, std::size_t size);
 
+/// covering/io.hpp read_cover — the `ccov validate --in` cover-file reader.
+int ccov_fuzz_cover(const std::uint8_t* data, std::size_t size);
+
 /// engine snapshot load (store.cpp) — the --cache-file warm-start path.
 int ccov_fuzz_snapshot(const std::uint8_t* data, std::size_t size);
 

@@ -12,8 +12,8 @@ namespace ccov::covering {
 /// Greedy covering of K_n over C_n.
 RingCover greedy_cover(std::uint32_t n);
 
-/// Greedy covering of an arbitrary demand graph over C_n (used by the
-/// tree-of-rings extension, where per-ring demands are not complete).
+/// Greedy covering of an arbitrary demand graph over C_n (the `greedy`
+/// algorithm's path for requests that carry explicit demand chords).
 /// Throws std::invalid_argument if the demand mentions a vertex >= n.
 RingCover greedy_cover_demand(std::uint32_t n, const graph::Graph& demand);
 

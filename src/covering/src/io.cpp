@@ -28,16 +28,18 @@ RingCover read_cover(std::istream& is) {
     throw std::runtime_error("read_cover: missing ring size");
   if (!(is >> key >> count) || key != "cycles")
     throw std::runtime_error("read_cover: missing cycle count");
-  cover.cycles.reserve(count);
+  // The counts are untrusted: storage grows only with values actually read,
+  // so a huge count in a short file fails fast instead of allocating.
   for (std::size_t i = 0; i < count; ++i) {
     std::size_t k = 0;
     if (!(is >> k) || k < 3)
       throw std::runtime_error("read_cover: bad cycle length");
-    Cycle c(k);
-    for (std::size_t j = 0; j < k; ++j)
-      if (!(is >> c[j]))
-        throw std::runtime_error("read_cover: truncated cycle");
-    cover.cycles.push_back(std::move(c));
+    Cycle& c = cover.cycles.emplace_back();
+    for (std::size_t j = 0; j < k; ++j) {
+      Vertex v = 0;
+      if (!(is >> v)) throw std::runtime_error("read_cover: truncated cycle");
+      c.push_back(v);
+    }
   }
   return cover;
 }

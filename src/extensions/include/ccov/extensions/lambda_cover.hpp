@@ -18,9 +18,12 @@ namespace ccov::extensions {
 /// lambda is odd, and only binds when lambda*p^2/2 is an integer).
 std::uint64_t rho_lambda_lower_bound(std::uint32_t n, std::uint32_t lambda);
 
-/// Construction: lambda relabelled copies of the optimal K_n covering.
-/// Optimal for odd n (matches the lower bound); within lambda-1 of the
-/// bound for even n.
+/// Construction: lambda copies of build_optimal_cover(n). Optimal for odd n.
+/// For even n each copy pays rho(n)'s rounding but the bound pays it once
+/// per pair of copies, so for n <= 12 the gap is 2*floor(lambda/2) when
+/// p = n/2 is even and floor(lambda/2) when p is odd; for n >= 14 each copy
+/// adds build_optimal_cover's floor((p-1)/2) surplus cycles on top.
+/// Throws std::invalid_argument for lambda == 0.
 covering::RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda);
 
 /// Validate a cover against the lambda*K_n demand (every chord covered at

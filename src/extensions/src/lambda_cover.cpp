@@ -26,6 +26,8 @@ std::uint64_t rho_lambda_lower_bound(std::uint32_t n, std::uint32_t lambda) {
 }
 
 covering::RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda) {
+  if (lambda == 0)
+    throw std::invalid_argument("build_lambda_cover: lambda >= 1 required");
   covering::RingCover base = covering::build_optimal_cover(n);
   covering::RingCover out;
   out.n = n;

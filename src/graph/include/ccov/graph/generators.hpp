@@ -1,8 +1,7 @@
 #pragma once
 /// \file generators.hpp
-/// Standard graph families. complete_graph(n) is the paper's all-to-all
-/// instance; cycle_graph(n) is the physical ring; the grid/torus/tree-of-
-/// rings families support the extensions section.
+/// The paper's demand instances: complete_graph(n) is the all-to-all K_n,
+/// complete_multigraph(n, lambda) the lambda*K_n extension.
 
 #include <cstdint>
 
@@ -10,17 +9,8 @@
 
 namespace ccov::graph {
 
-Graph cycle_graph(std::uint32_t n);
-Graph path_graph(std::uint32_t n);
 Graph complete_graph(std::uint32_t n);
 /// lambda parallel copies of each K_n edge (the paper's lambda*K_n instance).
 Graph complete_multigraph(std::uint32_t n, std::uint32_t lambda);
-Graph star_graph(std::uint32_t n);  // center 0, leaves 1..n-1
-Graph grid_graph(std::uint32_t rows, std::uint32_t cols);
-Graph torus_graph(std::uint32_t rows, std::uint32_t cols);
-
-/// Chain of `rings` rings of size `ring_size`, consecutive rings sharing one
-/// vertex (the simplest "tree of rings" from the paper's future work).
-Graph tree_of_rings_chain(std::uint32_t rings, std::uint32_t ring_size);
 
 }  // namespace ccov::graph

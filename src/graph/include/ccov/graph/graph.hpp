@@ -1,11 +1,12 @@
 #pragma once
 /// \file graph.hpp
-/// Undirected multigraph with an adjacency index. Logical (demand) graphs
+/// Undirected multigraph stored as its edge list. Logical (demand) graphs
 /// of the paper — K_n, lambda*K_n, and arbitrary instances — are represented
 /// with this class; edge multiplicity carries demand multiplicity.
 
+#include <algorithm>
 #include <cstdint>
-#include <utility>
+#include <stdexcept>
 #include <vector>
 
 namespace ccov::graph {
@@ -25,39 +26,25 @@ constexpr Edge normalized(Edge e) {
 
 class Graph {
  public:
-  explicit Graph(std::uint32_t n = 0) : n_(n), adj_(n) {}
+  explicit Graph(std::uint32_t n = 0) : n_(n) {}
 
   std::uint32_t num_vertices() const { return n_; }
   std::size_t num_edges() const { return edges_.size(); }
 
-  /// Add an undirected edge (parallel edges allowed, self-loops rejected).
-  /// Returns the edge index.
-  std::size_t add_edge(Vertex u, Vertex v);
-
-  /// Multiplicity of edge {u, v}.
-  std::uint32_t multiplicity(Vertex u, Vertex v) const;
-  bool has_edge(Vertex u, Vertex v) const { return multiplicity(u, v) > 0; }
-
-  std::uint32_t degree(Vertex v) const {
-    return static_cast<std::uint32_t>(adj_[v].size());
+  /// Add an undirected edge (parallel edges allowed, self-loops rejected),
+  /// growing the vertex set to cover both endpoints.
+  void add_edge(Vertex u, Vertex v) {
+    if (u == v) throw std::invalid_argument("Graph: self-loops not supported");
+    n_ = std::max(n_, std::max(u, v) + 1);
+    edges_.push_back(normalized(Edge{u, v}));
   }
-
-  /// Neighbour list of v (with repetition for parallel edges).
-  const std::vector<Vertex>& neighbors(Vertex v) const { return adj_[v]; }
 
   /// All edges in insertion order, normalized u <= v.
   const std::vector<Edge>& edges() const { return edges_; }
 
-  /// True when this is a simple graph (no parallel edges).
-  bool is_simple() const;
-
-  /// Grow the vertex set to n (never shrinks).
-  void ensure_vertices(std::uint32_t n);
-
  private:
   std::uint32_t n_;
   std::vector<Edge> edges_;
-  std::vector<std::vector<Vertex>> adj_;
 };
 
 }  // namespace ccov::graph

@@ -1,7 +1,6 @@
 #pragma once
 /// \file io.hpp
-/// Graph serialization: Graphviz DOT export (for the examples) and a simple
-/// whitespace edge-list format (round-trippable, for test fixtures).
+/// Graphviz DOT export of a graph (used by the WDM design example).
 
 #include <iosfwd>
 #include <string>
@@ -13,9 +12,5 @@ namespace ccov::graph {
 /// Emit the graph as an undirected DOT document.
 void write_dot(std::ostream& os, const Graph& g,
                const std::string& name = "G");
-
-/// Format: first line "n m", then m lines "u v".
-void write_edge_list(std::ostream& os, const Graph& g);
-Graph read_edge_list(std::istream& is);
 
 }  // namespace ccov::graph

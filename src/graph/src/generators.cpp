@@ -1,21 +1,6 @@
 #include "ccov/graph/generators.hpp"
 
-#include <stdexcept>
-
 namespace ccov::graph {
-
-Graph cycle_graph(std::uint32_t n) {
-  if (n < 3) throw std::invalid_argument("cycle_graph: n >= 3 required");
-  Graph g(n);
-  for (std::uint32_t i = 0; i < n; ++i) g.add_edge(i, (i + 1) % n);
-  return g;
-}
-
-Graph path_graph(std::uint32_t n) {
-  Graph g(n);
-  for (std::uint32_t i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  return g;
-}
 
 Graph complete_graph(std::uint32_t n) { return complete_multigraph(n, 1); }
 
@@ -24,58 +9,6 @@ Graph complete_multigraph(std::uint32_t n, std::uint32_t lambda) {
   for (std::uint32_t u = 0; u < n; ++u)
     for (std::uint32_t v = u + 1; v < n; ++v)
       for (std::uint32_t k = 0; k < lambda; ++k) g.add_edge(u, v);
-  return g;
-}
-
-Graph star_graph(std::uint32_t n) {
-  if (n < 2) throw std::invalid_argument("star_graph: n >= 2 required");
-  Graph g(n);
-  for (std::uint32_t v = 1; v < n; ++v) g.add_edge(0, v);
-  return g;
-}
-
-Graph grid_graph(std::uint32_t rows, std::uint32_t cols) {
-  Graph g(rows * cols);
-  auto id = [cols](std::uint32_t r, std::uint32_t c) { return r * cols + c; };
-  for (std::uint32_t r = 0; r < rows; ++r)
-    for (std::uint32_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
-    }
-  return g;
-}
-
-Graph torus_graph(std::uint32_t rows, std::uint32_t cols) {
-  if (rows < 3 || cols < 3)
-    throw std::invalid_argument("torus_graph: both dimensions >= 3");
-  Graph g(rows * cols);
-  auto id = [cols](std::uint32_t r, std::uint32_t c) { return r * cols + c; };
-  for (std::uint32_t r = 0; r < rows; ++r)
-    for (std::uint32_t c = 0; c < cols; ++c) {
-      g.add_edge(id(r, c), id(r, (c + 1) % cols));
-      g.add_edge(id(r, c), id((r + 1) % rows, c));
-    }
-  return g;
-}
-
-Graph tree_of_rings_chain(std::uint32_t rings, std::uint32_t ring_size) {
-  if (rings == 0 || ring_size < 3)
-    throw std::invalid_argument("tree_of_rings_chain: rings >= 1, size >= 3");
-  // Each new ring shares exactly one vertex with the previous one.
-  const std::uint32_t n = rings * (ring_size - 1) + 1;
-  Graph g(n);
-  std::uint32_t anchor = 0;
-  std::uint32_t next_free = 1;
-  for (std::uint32_t k = 0; k < rings; ++k) {
-    std::uint32_t prev = anchor;
-    for (std::uint32_t i = 1; i < ring_size; ++i) {
-      const std::uint32_t cur = next_free++;
-      g.add_edge(prev, cur);
-      prev = cur;
-    }
-    g.add_edge(prev, anchor);
-    anchor = prev;  // chain: glue the next ring at the last created vertex
-  }
   return g;
 }
 

@@ -1,8 +1,6 @@
 #include "ccov/graph/io.hpp"
 
-#include <istream>
 #include <ostream>
-#include <stdexcept>
 
 namespace ccov::graph {
 
@@ -11,24 +9,6 @@ void write_dot(std::ostream& os, const Graph& g, const std::string& name) {
   for (Vertex v = 0; v < g.num_vertices(); ++v) os << "  " << v << ";\n";
   for (const Edge& e : g.edges()) os << "  " << e.u << " -- " << e.v << ";\n";
   os << "}\n";
-}
-
-void write_edge_list(std::ostream& os, const Graph& g) {
-  os << g.num_vertices() << ' ' << g.num_edges() << '\n';
-  for (const Edge& e : g.edges()) os << e.u << ' ' << e.v << '\n';
-}
-
-Graph read_edge_list(std::istream& is) {
-  std::uint32_t n = 0;
-  std::size_t m = 0;
-  if (!(is >> n >> m)) throw std::runtime_error("read_edge_list: bad header");
-  Graph g(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    Vertex u, v;
-    if (!(is >> u >> v)) throw std::runtime_error("read_edge_list: bad edge");
-    g.add_edge(u, v);
-  }
-  return g;
 }
 
 }  // namespace ccov::graph

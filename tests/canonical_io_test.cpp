@@ -84,6 +84,18 @@ TEST(CoverIo, RejectsDegenerateCycleLength) {
   EXPECT_THROW(read_cover(ss), std::runtime_error);
 }
 
+// The header and cycle-length counts are untrusted: neither may size an
+// allocation before the values behind it have been read.
+TEST(CoverIo, HugeCycleCountFailsWithoutAllocating) {
+  std::stringstream ss("drc-cover v1\nn 5\ncycles 4000000000\n");
+  EXPECT_THROW(read_cover(ss), std::runtime_error);
+}
+
+TEST(CoverIo, HugeCycleLengthFailsWithoutAllocating) {
+  std::stringstream ss("drc-cover v1\nn 5\ncycles 1\n4000000000 0 1 1\n");
+  EXPECT_THROW(read_cover(ss), std::runtime_error);
+}
+
 TEST(CoverIo, MissingFileThrows) {
   EXPECT_THROW(load_cover("/nonexistent/path/cover.txt"), std::runtime_error);
 }

@@ -43,6 +43,15 @@ OUT=$("${CCOV}" bounds --n 13)
 echo "${OUT}" | grep -q "rho(n)" || fail "bounds output missing rho(n)"
 echo "${OUT}" | grep -q "capacity bound" || fail "bounds output missing capacity bound"
 
+echo "== ccov bounds --n 2 fails before printing anything"
+BOUNDS_OUT="${TMPDIR_SMOKE}/bounds2.out"
+set +e
+"${CCOV}" bounds --n 2 >"${BOUNDS_OUT}" 2>/dev/null
+RC=$?
+set -e
+[ "${RC}" -eq 1 ] || fail "'bounds --n 2' should exit 1, got ${RC}"
+[ ! -s "${BOUNDS_OUT}" ] || fail "'bounds --n 2' should write nothing to stdout: $(cat "${BOUNDS_OUT}")"
+
 echo "== ccov cover --n 13 --out"
 "${CCOV}" cover --n 13 --out "${COVER_FILE}" >/dev/null
 [ -s "${COVER_FILE}" ] || fail "cover --out did not write ${COVER_FILE}"
@@ -91,6 +100,13 @@ echo "== ccov run with an unknown algorithm exits nonzero"
 if "${CCOV}" run --algo frobnicate --n 9 >/dev/null 2>&1; then
   fail "run with unknown --algo should exit nonzero"
 fi
+
+echo "== ccov run --algo lambda --lambda 0 is an error, not an empty cover"
+set +e
+"${CCOV}" run --algo lambda --n 7 --lambda 0 >/dev/null 2>&1
+RC=$?
+set -e
+[ "${RC}" -eq 1 ] || fail "'run --algo lambda --lambda 0' should exit 1, got ${RC}"
 
 echo "== ccov run exits nonzero when the cover fails validation"
 # The classical C4 covering ignores the DRC, so validation fails.

@@ -1257,6 +1257,22 @@ TEST(Serve, ClearVerbEmptiesTheStore) {
   EXPECT_EQ(engine.cache().size(), 0u);
 }
 
+TEST(Serve, LambdaZeroIsAnInBandErrorAndIsNotCached) {
+  // lambda*K_n with lambda = 0 has no demand; an empty "valid" cover would
+  // be a wrong answer, and caching it would serve it again.
+  eng::Engine engine;
+  std::istringstream in(
+      "{\"algo\":\"construct\",\"n\":9}\n"
+      "{\"algo\":\"lambda\",\"n\":7,\"lambda\":0}\n");
+  std::ostringstream out;
+  ASSERT_EQ(eng::serve_loop(in, out, engine, {}), 0);
+  const std::string text = out.str();
+  const std::string second = text.substr(text.find('\n') + 1);
+  EXPECT_EQ(second.rfind("{\"id\":1,\"ok\":false,", 0), 0u) << second;
+  EXPECT_NE(second.find("lambda >= 1"), std::string::npos) << second;
+  EXPECT_EQ(engine.cache().size(), 1u);
+}
+
 TEST(Serve, MetricsVerbReportsEveryRegisteredSeries) {
   eng::Engine engine;
   std::istringstream in(

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "ccov/covering/bounds.hpp"
-#include "ccov/extensions/general_drc.hpp"
 #include "ccov/extensions/lambda_cover.hpp"
-#include "ccov/extensions/tree_of_rings.hpp"
-#include "ccov/graph/generators.hpp"
 
 using namespace ccov;
 using namespace ccov::extensions;
@@ -41,6 +41,19 @@ TEST(Lambda, OptimalForOddN) {
   }
 }
 
+TEST(Lambda, CopiesGapPinnedForSmallN) {
+  // Construction minus bound, lambda = 1..4 (see build_lambda_cover).
+  const std::map<std::uint32_t, std::vector<std::uint64_t>> gaps = {
+      {7, {0, 0, 0, 0}},  {8, {0, 2, 2, 4}},  {9, {0, 0, 0, 0}},
+      {10, {0, 1, 1, 2}}, {11, {0, 0, 0, 0}}, {12, {0, 2, 2, 4}}};
+  for (const auto& [n, by_lambda] : gaps)
+    for (std::uint32_t lam = 1; lam <= 4; ++lam)
+      EXPECT_EQ(build_lambda_cover(n, lam).size() -
+                    rho_lambda_lower_bound(n, lam),
+                by_lambda[lam - 1])
+          << "n=" << n << " lambda=" << lam;
+}
+
 TEST(Lambda, LowerBoundNeverExceedsKnownOptimum) {
   // Regression: at n = 10, lambda = 1 the bound must equal rho(10) = 13
   // (the parity +1 applies only when p = n/2 is even; p = 5 is odd).
@@ -52,84 +65,5 @@ TEST(Lambda, LowerBoundNeverExceedsKnownOptimum) {
 TEST(Lambda, RejectsBadArgs) {
   EXPECT_THROW(rho_lambda_lower_bound(2, 1), std::invalid_argument);
   EXPECT_THROW(rho_lambda_lower_bound(5, 0), std::invalid_argument);
-}
-
-// ---------- trees of rings ----------
-
-TEST(TreeOfRings, DecomposeSingleRing) {
-  const auto rings = decompose_rings(graph::cycle_graph(7));
-  ASSERT_EQ(rings.size(), 1u);
-  EXPECT_EQ(rings[0].vertices.size(), 7u);
-}
-
-TEST(TreeOfRings, DecomposeChain) {
-  const auto g = graph::tree_of_rings_chain(3, 5);
-  const auto rings = decompose_rings(g);
-  ASSERT_EQ(rings.size(), 3u);
-  for (const auto& r : rings) EXPECT_EQ(r.vertices.size(), 5u);
-}
-
-TEST(TreeOfRings, RejectsNonRingGraph) {
-  EXPECT_THROW(decompose_rings(graph::path_graph(5)), std::invalid_argument);
-}
-
-TEST(TreeOfRings, CoverSingleRingMatchesPlainCover) {
-  const auto g = graph::cycle_graph(8);
-  const auto result = cover_all_to_all(g);
-  ASSERT_EQ(result.ring_covers.size(), 1u);
-  EXPECT_EQ(result.total_demand_edges, 28u);
-  EXPECT_GE(result.total_cycles, result.lower_bound);
-}
-
-TEST(TreeOfRings, ChainCoverServesAllRequests) {
-  const auto g = graph::tree_of_rings_chain(2, 6);
-  const auto result = cover_all_to_all(g);
-  EXPECT_EQ(result.ring_covers.size(), 2u);
-  EXPECT_EQ(result.total_demand_edges,
-            static_cast<std::uint64_t>(g.num_vertices()) *
-                (g.num_vertices() - 1) / 2);
-  EXPECT_GE(result.total_cycles, result.lower_bound);
-  EXPECT_GT(result.total_cycles, 0u);
-}
-
-// ---------- general-graph DRC ----------
-
-TEST(GeneralDrc, RingAgreesWithCircularOrder) {
-  const auto g = graph::cycle_graph(6);
-  EXPECT_TRUE(satisfies_drc_general(g, {0, 2, 4}));
-  EXPECT_TRUE(satisfies_drc_general(g, {0, 1, 2, 3}));
-  EXPECT_FALSE(satisfies_drc_general(g, {0, 2, 1, 4}));
-  EXPECT_FALSE(satisfies_drc_general(g, {0, 3, 1, 4}));
-}
-
-TEST(GeneralDrc, TorusHasMoreRoom) {
-  // The crossing quad that fails on a ring routes fine on a torus.
-  const auto t = graph::torus_graph(3, 4);
-  EXPECT_TRUE(satisfies_drc_general(t, {0, 2, 1, 3}));
-}
-
-TEST(GeneralDrc, RoutingIsEdgeDisjoint) {
-  const auto g = graph::torus_graph(3, 3);
-  const auto paths = edge_disjoint_routing(g, {{0, 4}, {1, 5}, {3, 7}});
-  ASSERT_TRUE(paths.has_value());
-  std::set<std::pair<graph::Vertex, graph::Vertex>> used;
-  for (const auto& p : *paths)
-    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-      auto e = std::make_pair(std::min(p[i], p[i + 1]),
-                              std::max(p[i], p[i + 1]));
-      EXPECT_TRUE(used.insert(e).second) << "edge reused";
-    }
-}
-
-TEST(GeneralDrc, InfeasibleWhenCutTooSmall) {
-  // Path graph: two requests across the same bridge cannot be disjoint.
-  const auto g = graph::path_graph(4);
-  EXPECT_FALSE(
-      edge_disjoint_routing(g, {{0, 3}, {1, 2}}).has_value());
-}
-
-TEST(GeneralDrc, BudgetLimitsSearch) {
-  const auto g = graph::torus_graph(4, 4);
-  // With a zero node budget nothing can be routed.
-  EXPECT_FALSE(satisfies_drc_general(g, {0, 5, 10}, 0));
+  EXPECT_THROW(build_lambda_cover(7, 0), std::invalid_argument);
 }

@@ -1,20 +1,37 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
-#include "ccov/graph/algorithms.hpp"
 #include "ccov/graph/generators.hpp"
 #include "ccov/graph/graph.hpp"
 #include "ccov/graph/io.hpp"
 
 using namespace ccov::graph;
 
+namespace {
+
+// Copies of edge {u, v}, counted in the edge list.
+std::size_t copies(const Graph& g, Vertex u, Vertex v) {
+  return static_cast<std::size_t>(std::count(
+      g.edges().begin(), g.edges().end(), normalized(Edge{u, v})));
+}
+
+// Edges at v, counted in the edge list.
+std::size_t degree(const Graph& g, Vertex v) {
+  return static_cast<std::size_t>(
+      std::count_if(g.edges().begin(), g.edges().end(),
+                    [v](const Edge& e) { return e.u == v || e.v == v; }));
+}
+
+}  // namespace
+
 TEST(Graph, AddEdgeGrowsVertexSet) {
   Graph g;
   g.add_edge(2, 5);
   EXPECT_EQ(g.num_vertices(), 6u);
-  EXPECT_TRUE(g.has_edge(2, 5));
-  EXPECT_TRUE(g.has_edge(5, 2));
+  EXPECT_EQ(copies(g, 2, 5), 1u);
+  EXPECT_EQ(copies(g, 5, 2), 1u);
 }
 
 TEST(Graph, RejectsSelfLoop) {
@@ -26,9 +43,9 @@ TEST(Graph, ParallelEdgesCounted) {
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(1, 0);
-  EXPECT_EQ(g.multiplicity(0, 1), 2u);
-  EXPECT_FALSE(g.is_simple());
-  EXPECT_EQ(g.degree(0), 2u);
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_EQ(copies(g, 0, 1), 2u);
+  EXPECT_EQ(degree(g, 0), 2u);
 }
 
 TEST(Graph, EdgesNormalized) {
@@ -38,152 +55,29 @@ TEST(Graph, EdgesNormalized) {
   EXPECT_EQ(g.edges()[0].v, 2u);
 }
 
-TEST(Generators, CycleGraphShape) {
-  Graph g = cycle_graph(6);
-  EXPECT_EQ(g.num_edges(), 6u);
-  EXPECT_TRUE(is_cycle_graph(g));
-  for (Vertex v = 0; v < 6; ++v) EXPECT_EQ(g.degree(v), 2u);
-}
-
-TEST(Generators, CycleGraphTooSmall) {
-  EXPECT_THROW(cycle_graph(2), std::invalid_argument);
-}
-
 TEST(Generators, CompleteGraphEdges) {
   Graph g = complete_graph(7);
   EXPECT_EQ(g.num_edges(), 21u);
-  EXPECT_TRUE(g.is_simple());
-  for (Vertex v = 0; v < 7; ++v) EXPECT_EQ(g.degree(v), 6u);
+  for (Vertex u = 0; u < 7; ++u) {
+    EXPECT_EQ(degree(g, u), 6u);
+    for (Vertex v = u + 1; v < 7; ++v) EXPECT_EQ(copies(g, u, v), 1u);
+  }
 }
 
 TEST(Generators, CompleteMultigraphLambda) {
   Graph g = complete_multigraph(5, 3);
   EXPECT_EQ(g.num_edges(), 30u);
-  EXPECT_EQ(g.multiplicity(1, 3), 3u);
-}
-
-TEST(Generators, PathAndStar) {
-  EXPECT_EQ(path_graph(5).num_edges(), 4u);
-  Graph s = star_graph(6);
-  EXPECT_EQ(s.degree(0), 5u);
-  EXPECT_EQ(s.degree(3), 1u);
-}
-
-TEST(Generators, GridEdges) {
-  Graph g = grid_graph(3, 4);
-  EXPECT_EQ(g.num_vertices(), 12u);
-  EXPECT_EQ(g.num_edges(), 3u * 3u + 2u * 4u);  // 9 horizontal + 8 vertical
-}
-
-TEST(Generators, TorusRegular) {
-  Graph g = torus_graph(3, 5);
-  EXPECT_EQ(g.num_edges(), 2u * 15u);
-  for (Vertex v = 0; v < 15; ++v) EXPECT_EQ(g.degree(v), 4u);
-}
-
-TEST(Generators, TreeOfRingsChain) {
-  Graph g = tree_of_rings_chain(3, 5);
-  EXPECT_EQ(g.num_vertices(), 3u * 4u + 1u);
-  EXPECT_EQ(g.num_edges(), 15u);
-  EXPECT_TRUE(is_connected(g));
-  EXPECT_EQ(articulation_points(g).size(), 2u);
-}
-
-TEST(Algorithms, ConnectedComponents) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  auto comp = connected_components(g);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[2], comp[3]);
-  EXPECT_NE(comp[0], comp[2]);
-  EXPECT_FALSE(is_connected(g));
-}
-
-TEST(Algorithms, IsCycleGraphRejectsChord) {
-  Graph g = cycle_graph(5);
-  g.add_edge(0, 2);
-  EXPECT_FALSE(is_cycle_graph(g));
-}
-
-TEST(Algorithms, BfsDistancesOnCycle) {
-  Graph g = cycle_graph(8);
-  auto d = bfs_distances(g, 0);
-  EXPECT_EQ(d[4], 4u);
-  EXPECT_EQ(d[7], 1u);
-  EXPECT_EQ(d[3], 3u);
-}
-
-TEST(Algorithms, ShortestPathEndpoints) {
-  Graph g = grid_graph(3, 3);
-  auto p = shortest_path(g, 0, 8);
-  ASSERT_FALSE(p.empty());
-  EXPECT_EQ(p.front(), 0u);
-  EXPECT_EQ(p.back(), 8u);
-  EXPECT_EQ(p.size(), 5u);  // 4 hops
-}
-
-TEST(Algorithms, ShortestPathUnreachable) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  EXPECT_TRUE(shortest_path(g, 0, 3).empty());
-}
-
-TEST(Algorithms, ArticulationOfTwoTriangles) {
-  Graph g(5);
-  // Two triangles sharing vertex 2.
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.add_edge(4, 2);
-  auto arts = articulation_points(g);
-  ASSERT_EQ(arts.size(), 1u);
-  EXPECT_EQ(arts[0], 2u);
-}
-
-TEST(Algorithms, NoArticulationOnCycle) {
-  EXPECT_TRUE(articulation_points(cycle_graph(9)).empty());
-}
-
-TEST(Algorithms, EulerianCompleteOddOnly) {
-  EXPECT_TRUE(has_eulerian_circuit(complete_graph(5)));
-  EXPECT_FALSE(has_eulerian_circuit(complete_graph(6)));
-  EXPECT_TRUE(has_eulerian_circuit(cycle_graph(4)));
+  EXPECT_EQ(copies(g, 1, 3), 3u);
 }
 
 TEST(Io, DotContainsEdges) {
+  Graph tri(3);
+  tri.add_edge(0, 1);
+  tri.add_edge(1, 2);
+  tri.add_edge(2, 0);
   std::ostringstream os;
-  write_dot(os, cycle_graph(3), "tri");
+  write_dot(os, tri, "tri");
   const std::string s = os.str();
   EXPECT_NE(s.find("graph tri"), std::string::npos);
   EXPECT_NE(s.find("0 -- 1"), std::string::npos);
 }
-
-TEST(Io, EdgeListRoundTrip) {
-  Graph g = complete_graph(5);
-  std::stringstream ss;
-  write_edge_list(ss, g);
-  Graph h = read_edge_list(ss);
-  EXPECT_EQ(h.num_vertices(), 5u);
-  EXPECT_EQ(h.num_edges(), 10u);
-  EXPECT_TRUE(h.has_edge(2, 4));
-}
-
-TEST(Io, EdgeListRejectsTruncated) {
-  std::stringstream ss("3 2\n0 1\n");
-  EXPECT_THROW(read_edge_list(ss), std::runtime_error);
-}
-
-// Parameterized: generator families keep their degree invariants.
-class CompleteParam : public ::testing::TestWithParam<std::uint32_t> {};
-TEST_P(CompleteParam, HandshakeLemma) {
-  const std::uint32_t n = GetParam();
-  Graph g = complete_graph(n);
-  std::uint64_t degsum = 0;
-  for (Vertex v = 0; v < n; ++v) degsum += g.degree(v);
-  EXPECT_EQ(degsum, 2 * g.num_edges());
-}
-INSTANTIATE_TEST_SUITE_P(Sizes, CompleteParam,
-                         ::testing::Values(3, 4, 8, 15, 16, 33));

@@ -5,7 +5,7 @@
 
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/greedy.hpp"
-#include "ccov/graph/generators.hpp"
+#include "ccov/graph/graph.hpp"
 
 using namespace ccov::covering;
 
@@ -45,8 +45,9 @@ TEST(GreedyGolden, CoverPinnedOnK10) {
 }
 
 TEST(GreedyGolden, DemandCoverPinnedOnStar8) {
-  const auto cover =
-      greedy_cover_demand(8, ccov::graph::star_graph(8));
+  ccov::graph::Graph star(8);  // center 0, leaves 1..7
+  for (ccov::graph::Vertex v = 1; v < 8; ++v) star.add_edge(0, v);
+  const auto cover = greedy_cover_demand(8, star);
   EXPECT_EQ(to_string(cover), "(0 1 2)(0 3 4)(0 5 6)(0 1 7)");
 }
 

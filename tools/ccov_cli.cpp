@@ -32,6 +32,7 @@
 #include <map>
 #include <optional>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -210,15 +211,17 @@ int cmd_validate(const ccov::util::Cli& cli) {
 int cmd_bounds(const ccov::util::Cli& cli) {
   const auto n = get_uint<std::uint32_t>(cli, "n", 9);
   using namespace ccov::covering;
-  std::cout << "n = " << n << "\n"
-            << "rho(n)            = " << rho(n) << "\n"
-            << "capacity bound    = " << capacity_lower_bound(n) << "\n"
-            << "parity bound      = " << parity_lower_bound(n) << "\n";
+  // Buffered so that a bad n prints nothing rather than a partial report.
+  std::ostringstream out;
+  out << "n = " << n << "\n"
+      << "rho(n)            = " << rho(n) << "\n"
+      << "capacity bound    = " << capacity_lower_bound(n) << "\n"
+      << "parity bound      = " << parity_lower_bound(n) << "\n";
   if (n >= 6 || n % 2 == 1) {
     const auto comp = theorem_composition(n);
-    std::cout << "theorem C3 / C4   = " << comp.c3 << " / " << comp.c4
-              << "\n";
+    out << "theorem C3 / C4   = " << comp.c3 << " / " << comp.c4 << "\n";
   }
+  std::cout << out.str();
   return 0;
 }
 
