@@ -8,11 +8,11 @@
 
 #include <iostream>
 
-#include "ccov/extensions/lambda_cover.hpp"
+#include "ccov/covering/lambda_cover.hpp"
 #include "ccov/util/table.hpp"
 
 int main() {
-  using namespace ccov::extensions;
+  using namespace ccov::covering;
   ccov::util::Table t(
       {"n", "lambda", "lower bound", "construction", "gap", "valid"});
   for (std::uint32_t n : {7u, 8u, 9u, 10u, 11u, 12u}) {

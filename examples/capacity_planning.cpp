@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "ccov/covering/bounds.hpp"
-#include "ccov/extensions/lambda_cover.hpp"
+#include "ccov/covering/lambda_cover.hpp"
 #include "ccov/util/cli.hpp"
 #include "ccov/util/table.hpp"
 
@@ -25,7 +25,7 @@ int main(int argc, char** argv) try {
     const std::uint64_t requests =
         static_cast<std::uint64_t>(n) * (n - 1) / 2;
     const auto r1 = covering::rho(n);
-    const auto rl = extensions::rho_lambda_lower_bound(n, lambda);
+    const auto rl = covering::rho_lambda_lower_bound(n, lambda);
     t.add(n, requests, r1, 2 * r1, rl, 2 * rl);
   }
   t.print(std::cout, "Ring capacity plan (all-to-all; lambda = " +

@@ -19,10 +19,10 @@ int main(int argc, char** argv) try {
             << " (minimum number of protected sub-networks)\n\n";
 
   const RingCover cover = build_optimal_cover(n);
-  std::cout << summary(cover) << "\n\ncycles:\n";
+  const auto rep = validate_cover(cover);
+  std::cout << summary(cover, rep) << "\n\ncycles:\n";
   for (const auto& c : cover.cycles) std::cout << "  " << to_string(c) << "\n";
 
-  const auto rep = validate_cover(cover);
   std::cout << "\nvalidation: " << (rep.ok ? "OK" : rep.error)
             << " (duplicate coverage slots: " << rep.duplicate_coverage
             << ")\n";

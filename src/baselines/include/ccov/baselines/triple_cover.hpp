@@ -21,9 +21,4 @@ std::uint64_t triple_covering_number(std::uint32_t n);
 /// cycles generally violate the DRC — that is the point of the baseline.
 std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n);
 
-/// How many cycles of a covering satisfy the DRC on C_n (used to report
-/// how un-deployable the classical covering is on a ring).
-std::size_t count_drc_feasible(std::uint32_t n,
-                               const std::vector<covering::Cycle>& cycles);
-
 }  // namespace ccov::baselines

@@ -3,7 +3,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "ccov/covering/drc.hpp"
 #include "ccov/util/ints.hpp"
 
 namespace ccov::baselines {
@@ -46,15 +45,6 @@ std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n) {
     out.push_back(std::move(tri));
   }
   return out;
-}
-
-std::size_t count_drc_feasible(std::uint32_t n,
-                               const std::vector<covering::Cycle>& cycles) {
-  const ring::Ring r(n);
-  std::size_t ok = 0;
-  for (const auto& c : cycles)
-    if (covering::satisfies_drc(r, c)) ++ok;
-  return ok;
 }
 
 }  // namespace ccov::baselines

@@ -49,7 +49,8 @@ ValidationReport validate_cover_against(const RingCover& cover,
 /// byte-comparable fingerprint of a cover, used by the golden tests.
 std::string to_string(const RingCover& cover);
 
-/// Human-readable one-line summary: "n=9: 10 cycles (3 C3, 7 C4), valid".
-std::string summary(const RingCover& cover);
+/// Human-readable one-line summary of a cover and its validation report
+/// `rep`: "n=9: 10 cycles (3 C3, 7 C4), valid".
+std::string summary(const RingCover& cover, const ValidationReport& rep);
 
 }  // namespace ccov::covering

@@ -18,7 +18,7 @@ namespace ccov::covering {
 using Vertex = ring::Vertex;
 
 /// Vertex sequence of a logical cycle. Rotations and reversal denote the
-/// same cycle; see canonical().
+/// same cycle.
 using Cycle = std::vector<Vertex>;
 
 /// Inline fixed-capacity cycle for the allocation-free hot paths of the
@@ -55,10 +55,9 @@ struct SmallCycle {
   }
 };
 
-/// Visit the chords (logical edges) of a cycle, normalized u < v, without
-/// materializing a vector — the allocation-free counterpart of
-/// cycle_chords(). Works for both Cycle and SmallCycle (anything with
-/// size() and operator[]).
+/// Visit the chords (logical edges) of a cycle, normalized u < v, in
+/// cycle order, without materializing a vector. Works for both Cycle and
+/// SmallCycle (anything with size() and operator[]).
 template <typename CycleT, typename Fn>
 inline void for_each_chord(const CycleT& c, Fn&& fn) {
   const std::size_t k = c.size();
@@ -73,13 +72,6 @@ inline void for_each_chord(const CycleT& c, Fn&& fn) {
 /// True when the sequence is a structurally valid cycle: >= 3 vertices,
 /// all distinct, all < n.
 bool is_valid_cycle(const Cycle& c, std::uint32_t n);
-
-/// The chords (logical edges) covered by the cycle, normalized u < v.
-std::vector<std::pair<Vertex, Vertex>> cycle_chords(const Cycle& c);
-
-/// Canonical form: lexicographically smallest rotation/reflection. Two
-/// sequences denote the same cycle iff their canonical forms are equal.
-Cycle canonical(const Cycle& c);
 
 /// "(v0 v1 ... vk)" rendering for logs and examples.
 std::string to_string(const Cycle& c);

@@ -14,7 +14,8 @@ RingCover greedy_cover(std::uint32_t n);
 
 /// Greedy covering of an arbitrary demand graph over C_n (the `greedy`
 /// algorithm's path for requests that carry explicit demand chords).
-/// Throws std::invalid_argument if the demand mentions a vertex >= n.
+/// Throws std::invalid_argument if the demand mentions a vertex >= n or
+/// repeats a chord (each chord is covered once).
 RingCover greedy_cover_demand(std::uint32_t n, const graph::Graph& demand);
 
 }  // namespace ccov::covering

@@ -10,7 +10,7 @@
 
 #include "ccov/covering/cover.hpp"
 
-namespace ccov::extensions {
+namespace ccov::covering {
 
 /// Lower bound on the number of cycles in a DRC-covering of lambda*K_n:
 /// lambda * L(n) / n rounded up, plus 1 for even n with odd lambda and
@@ -24,11 +24,11 @@ std::uint64_t rho_lambda_lower_bound(std::uint32_t n, std::uint32_t lambda);
 /// p = n/2 is even and floor(lambda/2) when p is odd; for n >= 14 each copy
 /// adds build_optimal_cover's floor((p-1)/2) surplus cycles on top.
 /// Throws std::invalid_argument for lambda == 0.
-covering::RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda);
+RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda);
 
 /// Validate a cover against the lambda*K_n demand (every chord covered at
 /// least lambda times).
-bool validate_lambda_cover(const covering::RingCover& cover,
+bool validate_lambda_cover(const RingCover& cover,
                            std::uint32_t lambda);
 
-}  // namespace ccov::extensions
+}  // namespace ccov::covering

@@ -1,6 +1,5 @@
 #include "ccov/covering/cycle.hpp"
 
-#include <algorithm>
 #include <set>
 
 namespace ccov::covering {
@@ -13,29 +12,6 @@ bool is_valid_cycle(const Cycle& c, std::uint32_t n) {
     if (!seen.insert(v).second) return false;
   }
   return true;
-}
-
-std::vector<std::pair<Vertex, Vertex>> cycle_chords(const Cycle& c) {
-  std::vector<std::pair<Vertex, Vertex>> out;
-  out.reserve(c.size());
-  for_each_chord(c, [&](Vertex u, Vertex v) { out.emplace_back(u, v); });
-  return out;
-}
-
-Cycle canonical(const Cycle& c) {
-  if (c.empty()) return c;
-  Cycle best;
-  Cycle cur = c;
-  for (int rev = 0; rev < 2; ++rev) {
-    for (std::size_t s = 0; s < cur.size(); ++s) {
-      Cycle rot(cur.size());
-      for (std::size_t i = 0; i < cur.size(); ++i)
-        rot[i] = cur[(s + i) % cur.size()];
-      if (best.empty() || rot < best) best = rot;
-    }
-    std::reverse(cur.begin(), cur.end());
-  }
-  return best;
 }
 
 std::string to_string(const Cycle& c) {

@@ -24,10 +24,16 @@ std::uint64_t forward_gap_sum(const ring::Ring& r, const Cycle& c) {
 }  // namespace
 
 bool is_circularly_ordered(const ring::Ring& r, const Cycle& c) {
-  if (!is_valid_cycle(c, r.size())) return false;
-  if (forward_gap_sum(r, c) == r.size()) return true;
-  Cycle rev(c.rbegin(), c.rend());
-  return forward_gap_sum(r, rev) == r.size();
+  const std::uint64_t n = r.size();
+  if (c.size() < 3) return false;
+  for (Vertex v : c)
+    if (v >= n) return false;
+  // A walk that winds exactly once passes each vertex once, so a winding
+  // sum also rules out repeated vertices. Each step's counterclockwise
+  // gap is n minus its clockwise one, so the reversed walk sums to
+  // k*n - fwd.
+  const std::uint64_t fwd = forward_gap_sum(r, c);
+  return fwd != 0 && (fwd == n || c.size() * n - fwd == n);
 }
 
 std::optional<std::vector<ring::Arc>> drc_route(const ring::Ring& r,

@@ -103,7 +103,6 @@ RingCover greedy_cover(std::uint32_t n) {
 
 RingCover greedy_cover_demand(std::uint32_t n, const graph::Graph& demand) {
   ChordBitset uncovered(n);
-  std::size_t remaining = 0;
   for (const auto& e : demand.edges()) {
     if (e.u >= n || e.v >= n)
       throw std::invalid_argument(
@@ -111,12 +110,13 @@ RingCover greedy_cover_demand(std::uint32_t n, const graph::Graph& demand) {
           std::to_string(n));
     const Vertex u = e.u < e.v ? e.u : e.v;
     const Vertex v = e.u < e.v ? e.v : e.u;
-    if (!uncovered.test(u, v)) {
-      uncovered.set(u, v);
-      ++remaining;
-    }
+    if (uncovered.test(u, v))
+      throw std::invalid_argument(
+          "greedy_cover_demand: repeated demand chord (" + std::to_string(u) +
+          "," + std::to_string(v) + ")");
+    uncovered.set(u, v);
   }
-  return greedy_impl(n, std::move(uncovered), remaining);
+  return greedy_impl(n, std::move(uncovered), demand.num_edges());
 }
 
 }  // namespace ccov::covering

@@ -1,4 +1,4 @@
-#include "ccov/extensions/lambda_cover.hpp"
+#include "ccov/covering/lambda_cover.hpp"
 
 #include <stdexcept>
 
@@ -7,7 +7,7 @@
 #include "ccov/ring/routing.hpp"
 #include "ccov/util/ints.hpp"
 
-namespace ccov::extensions {
+namespace ccov::covering {
 
 std::uint64_t rho_lambda_lower_bound(std::uint32_t n, std::uint32_t lambda) {
   if (n < 3 || lambda == 0)
@@ -25,11 +25,11 @@ std::uint64_t rho_lambda_lower_bound(std::uint32_t n, std::uint32_t lambda) {
   return lb;
 }
 
-covering::RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda) {
+RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda) {
   if (lambda == 0)
     throw std::invalid_argument("build_lambda_cover: lambda >= 1 required");
-  covering::RingCover base = covering::build_optimal_cover(n);
-  covering::RingCover out;
+  RingCover base = build_optimal_cover(n);
+  RingCover out;
   out.n = n;
   out.cycles.reserve(base.cycles.size() * lambda);
   for (std::uint32_t k = 0; k < lambda; ++k)
@@ -37,10 +37,10 @@ covering::RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda) {
   return out;
 }
 
-bool validate_lambda_cover(const covering::RingCover& cover,
+bool validate_lambda_cover(const RingCover& cover,
                            std::uint32_t lambda) {
   const auto demand = graph::complete_multigraph(cover.n, lambda);
-  return covering::validate_cover_against(cover, demand).ok;
+  return validate_cover_against(cover, demand).ok;
 }
 
-}  // namespace ccov::extensions
+}  // namespace ccov::covering

@@ -37,8 +37,8 @@ struct DihedralElement {
   std::uint32_t shift = 0;
 
   /// g(v) on the n-vertex ring (n > 0): takes a vertex of the request's
-  /// frame into the canonical frame. Same map as
-  /// covering::rotate_cover(covering::reflect_cover(.)).
+  /// frame into the canonical frame — the reflection v -> n - v (when
+  /// `reflect`), then the rotation v -> v + shift, both mod n.
   std::uint32_t map(std::uint32_t v, std::uint32_t n) const {
     const std::uint32_t r = reflect ? (n - v) % n : v;
     return (r + shift % n) % n;
@@ -63,7 +63,8 @@ struct CanonicalKey {
 
 /// Compute the canonical key: scalar fields, plus the lexicographically
 /// least D_n-image of the demand chord multiset (empty demand = K_n, which
-/// every group element fixes).
+/// every group element fixes). A demand with a vertex >= n or a loop is
+/// not a set of chords of C_n: it is keyed as given, under the identity.
 CanonicalKey canonical_request_key(const CoverRequest& req);
 
 /// Apply `g` (respectively its inverse) to every vertex of a cover.

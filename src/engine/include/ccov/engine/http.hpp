@@ -16,7 +16,7 @@
 ///
 /// Request bodies require Content-Length (411 otherwise; chunked request
 /// bodies are answered 501) bounded by ServeConfig::max_body_bytes
-/// (413 above it); request heads are bounded by max_header_bytes (431).
+/// (413 above it); request heads are bounded by 64 KiB (431).
 /// "Expect: 100-continue" is honored. Connections beyond max_clients
 /// get a 503 and are closed. Shutdown semantics are inherited from
 /// ConnectionServer: the self-pipe wakes blocked reads, in-flight

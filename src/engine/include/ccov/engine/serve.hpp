@@ -90,8 +90,6 @@ struct ServeConfig {
   std::size_t max_clients = 64;
 
   // --- HTTP front end ----------------------------------------------------
-  /// Longest accepted request head (request line + headers).
-  std::size_t max_header_bytes = 64 << 10;
   /// Largest accepted Content-Length for POST /v1/batch; bigger bodies
   /// are refused with 413 before any byte of the body is read.
   std::size_t max_body_bytes = 64u << 20;

@@ -64,18 +64,30 @@ CanonicalKey canonical_request_key(const CoverRequest& req) {
     // K_n is fixed by every element of D_n: the identity suffices.
     key += "|K_n";
   } else {
-    // Lexicographically least D_n-image of the demand; the minimizing
-    // element maps this request's frame onto the canonical frame.
     EdgeList best;
-    bool have_best = false;
-    for (int refl = 0; refl < 2; ++refl) {
-      for (std::uint32_t s = 0; s < req.n; ++s) {
-        const DihedralElement g{refl != 0, s};
-        EdgeList img = transform_demand(req.demand, req.n, g);
-        if (!have_best || img < best) {
-          best = std::move(img);
-          out.to_canonical = g;
-          have_best = true;
+    const bool chords_of_ring =
+        std::all_of(req.demand.begin(), req.demand.end(),
+                    [&](const graph::Edge& e) {
+                      return e.u < req.n && e.v < req.n && e.u != e.v;
+                    });
+    if (!chords_of_ring) {
+      // D_n acts on chords of C_n only. Any other demand is keyed as
+      // given under the identity, so it never shares an entry with a
+      // demand it does not equal.
+      for (const graph::Edge& e : req.demand) best.emplace_back(e.u, e.v);
+    } else {
+      // Lexicographically least D_n-image of the demand; the minimizing
+      // element maps this request's frame onto the canonical frame.
+      bool have_best = false;
+      for (int refl = 0; refl < 2; ++refl) {
+        for (std::uint32_t s = 0; s < req.n; ++s) {
+          const DihedralElement g{refl != 0, s};
+          EdgeList img = transform_demand(req.demand, req.n, g);
+          if (!have_best || img < best) {
+            best = std::move(img);
+            out.to_canonical = g;
+            have_best = true;
+          }
         }
       }
     }

@@ -128,6 +128,9 @@ bool parse_head(const std::string& head, HttpRequest* req, std::string* error) {
 
 namespace {
 
+/// Longest accepted request head (request line + headers).
+constexpr std::size_t kMaxHeaderBytes = 64 << 10;
+
 enum class HeadRead { kOk, kEof, kPartial, kTooLarge, kError };
 
 /// Accumulate socket bytes into `buf` until a full request head is
@@ -307,13 +310,13 @@ void HttpServer::handle_connection(int client_fd, int wake_fd) {
   for (;;) {
     std::size_t head_end = 0, body_start = 0;
     const HeadRead hr =
-        read_head(sock, &buf, config_.max_header_bytes, &head_end, &body_start);
+        read_head(sock, &buf, kMaxHeaderBytes, &head_end, &body_start);
     if (hr == HeadRead::kEof || hr == HeadRead::kError) return;
     if (hr == HeadRead::kTooLarge) {
       errors_.add(1);
       write_response(sock, 431, "text/plain; charset=utf-8",
                      "request head exceeds " +
-                         std::to_string(config_.max_header_bytes) + " bytes\n",
+                         std::to_string(kMaxHeaderBytes) + " bytes\n",
                      /*keep_alive=*/false);
       return;
     }

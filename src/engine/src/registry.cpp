@@ -9,8 +9,8 @@
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/construct.hpp"
 #include "ccov/covering/greedy.hpp"
+#include "ccov/covering/lambda_cover.hpp"
 #include "ccov/covering/solver.hpp"
-#include "ccov/extensions/lambda_cover.hpp"
 
 namespace ccov::engine {
 
@@ -77,12 +77,12 @@ AlgorithmOutcome run_greedy(const CoverRequest& req) {
 AlgorithmOutcome run_lambda(const CoverRequest& req) {
   if (!req.demand.empty())
     throw std::invalid_argument("lambda: explicit demands are not supported");
-  return AlgorithmOutcome{extensions::build_lambda_cover(req.n, req.lambda)};
+  return AlgorithmOutcome{covering::build_lambda_cover(req.n, req.lambda)};
 }
 
 bool validate_lambda(const CoverRequest& req,
                      const covering::RingCover& cover) {
-  return extensions::validate_lambda_cover(cover, req.lambda);
+  return covering::validate_lambda_cover(cover, req.lambda);
 }
 
 AlgorithmOutcome run_solve(const CoverRequest& req) {

@@ -32,9 +32,6 @@ Arc minor_arc(const Ring& r, Vertex u, Vertex v);
 /// The complementary arc (the other side of the same chord).
 Arc complement(const Ring& r, const Arc& a);
 
-/// True when arcs a and b share at least one ring edge.
-bool arcs_overlap(const Ring& r, const Arc& a, const Arc& b);
-
 /// List of ring edges covered by the arc, in traversal order.
 std::vector<std::uint32_t> arc_edges(const Ring& r, const Arc& a);
 

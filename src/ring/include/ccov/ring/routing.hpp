@@ -5,18 +5,12 @@
 /// capacity lower bound of the covering core.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "ccov/ring/arc.hpp"
 #include "ccov/ring/tiling.hpp"
 
 namespace ccov::ring {
-
-using Chord = std::pair<Vertex, Vertex>;
-
-/// Route every chord on its minor arc (the load-optimal oblivious routing).
-std::vector<Arc> route_minor(const Ring& r, const std::vector<Chord>& chords);
 
 /// Total minor-arc load of the all-to-all instance K_n on C_n:
 ///   L(n) = sum over chords of ring-distance.

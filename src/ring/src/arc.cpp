@@ -25,13 +25,6 @@ Arc complement(const Ring& r, const Arc& a) {
   return Arc{a.end(r), r.size() - a.len};
 }
 
-bool arcs_overlap(const Ring& r, const Arc& a, const Arc& b) {
-  // a covers edges [a.start, a.start+a.len); test whether b's start lies in
-  // it, or a's start lies in b's span.
-  return r.cw_dist(a.start, b.start) < a.len ||
-         r.cw_dist(b.start, a.start) < b.len;
-}
-
 std::vector<std::uint32_t> arc_edges(const Ring& r, const Arc& a) {
   std::vector<std::uint32_t> out;
   out.reserve(a.len);

@@ -2,13 +2,6 @@
 
 namespace ccov::ring {
 
-std::vector<Arc> route_minor(const Ring& r, const std::vector<Chord>& chords) {
-  std::vector<Arc> arcs;
-  arcs.reserve(chords.size());
-  for (const auto& [u, v] : chords) arcs.push_back(minor_arc(r, u, v));
-  return arcs;
-}
-
 std::uint64_t all_to_all_min_load(std::uint32_t n) {
   const std::uint64_t N = n;
   if (n % 2 == 1) {

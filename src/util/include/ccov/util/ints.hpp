@@ -16,30 +16,4 @@ constexpr T ceil_div(T a, T b) {
   return static_cast<T>((a + b - 1) / b);
 }
 
-/// Mathematical (always non-negative) modulus: result in [0, m).
-template <typename T>
-constexpr T mod_pos(T a, T m) {
-  static_assert(std::is_integral_v<T>);
-  assert(m > 0);
-  T r = static_cast<T>(a % m);
-  return r < 0 ? static_cast<T>(r + m) : r;
-}
-
-/// Greatest common divisor (non-negative inputs).
-template <typename T>
-constexpr T gcd_of(T a, T b) {
-  while (b != 0) {
-    T t = static_cast<T>(a % b);
-    a = b;
-    b = t;
-  }
-  return a;
-}
-
-/// n choose 2, without overflow for n up to ~2^32 when T = uint64_t.
-template <typename T>
-constexpr T choose2(T n) {
-  return n < 2 ? T{0} : static_cast<T>(n * (n - 1) / 2);
-}
-
 }  // namespace ccov::util

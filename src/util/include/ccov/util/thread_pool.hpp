@@ -1,15 +1,14 @@
 #pragma once
 /// \file thread_pool.hpp
-/// A small fixed-size thread pool with a parallel_for helper. Benchmark
-/// sweeps, property tests and the engine's BatchRunner share one pool to
-/// exploit all cores; the combinatorial kernels themselves stay
-/// single-threaded and deterministic.
+/// A small fixed-size thread pool. Benchmark sweeps, property tests and
+/// the engine's BatchRunner share one pool to exploit all cores; the
+/// combinatorial kernels themselves stay single-threaded and
+/// deterministic.
 ///
 /// TaskGroup is the only way to wait: every task is submitted against a
 /// group, and group.wait() blocks on exactly those tasks and rethrows only
 /// their exceptions, so a long-running serve loop can fan independent
-/// batches across one shared pool without cross-talk. parallel_for uses
-/// a private group of its own.
+/// batches across one shared pool without cross-talk.
 
 #include <condition_variable>
 #include <cstddef>
@@ -85,14 +84,5 @@ class ThreadPool {
   std::condition_variable_any cv_task_;
   bool stop_ CCOV_GUARDED_BY(mu_) = false;
 };
-
-/// Run fn(i) for i in [begin, end) across the pool, blocking until done.
-/// Indices are chunked to limit queue overhead. An exception thrown by
-/// fn propagates to the caller (remaining chunks still run to
-/// completion; only the first exception is rethrown). Uses a private
-/// TaskGroup, so concurrent parallel_for calls on one shared pool
-/// neither wait on each other nor observe each other's exceptions.
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace ccov::util

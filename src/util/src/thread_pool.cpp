@@ -71,20 +71,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t span = end - begin;
-  const std::size_t chunks = std::min(span, pool.size() * 4);
-  const std::size_t step = (span + chunks - 1) / chunks;
-  TaskGroup group;
-  for (std::size_t lo = begin; lo < end; lo += step) {
-    const std::size_t hi = std::min(end, lo + step);
-    pool.submit(group, [lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  group.wait();
-}
-
 }  // namespace ccov::util

@@ -22,9 +22,6 @@ class Instance {
   /// Total exchange: every pair of nodes communicates (the paper's I = K_n).
   static Instance all_to_all(std::uint32_t n);
 
-  /// lambda parallel requests per pair (the paper's lambda*K_n extension).
-  static Instance uniform(std::uint32_t n, std::uint32_t lambda);
-
   const Graph& demands() const { return demands_; }
   std::uint32_t nodes() const { return demands_.num_vertices(); }
   std::size_t num_requests() const { return demands_.num_edges(); }

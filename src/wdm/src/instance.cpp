@@ -8,8 +8,4 @@ Instance Instance::all_to_all(std::uint32_t n) {
   return Instance(graph::complete_graph(n));
 }
 
-Instance Instance::uniform(std::uint32_t n, std::uint32_t lambda) {
-  return Instance(graph::complete_multigraph(n, lambda));
-}
-
 }  // namespace ccov::wdm

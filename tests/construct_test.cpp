@@ -149,8 +149,9 @@ TEST(EvenFallback, AntipodalChordsEachCoveredOnce) {
   const auto cover = construct_even_cover(n);
   std::map<std::pair<Vertex, Vertex>, int> anti;
   for (const auto& c : cover.cycles)
-    for (const auto& [a, b] : cycle_chords(c))
+    for_each_chord(c, [&](Vertex a, Vertex b) {
       if (b - a == n / 2) anti[{a, b}]++;
+    });
   EXPECT_EQ(anti.size(), n / 2);
   for (const auto& [ch, cnt] : anti) EXPECT_EQ(cnt, 1) << ch.first;
 }

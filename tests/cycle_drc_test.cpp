@@ -33,8 +33,10 @@ TEST(ForEachChord, MatchesCycleChordsOnBothRepresentations) {
   for_each_chord(inline_c, [&](Vertex u, Vertex v) {
     from_small.emplace_back(u, v);
   });
-  EXPECT_EQ(from_heap, cycle_chords(heap));
-  EXPECT_EQ(from_small, cycle_chords(heap));
+  const std::vector<std::pair<Vertex, Vertex>> expected = {
+      {0, 3}, {0, 4}, {4, 6}, {3, 6}};
+  EXPECT_EQ(from_heap, expected);
+  EXPECT_EQ(from_small, expected);
 }
 
 TEST(ChordBitsetTest, SetClearFirstCount) {
@@ -78,24 +80,13 @@ TEST(Cycle, ValidityChecks) {
 }
 
 TEST(Cycle, ChordsNormalized) {
-  auto ch = cycle_chords({3, 0, 4});
+  std::vector<std::pair<Vertex, Vertex>> ch;
+  for_each_chord(Cycle{3, 0, 4},
+                 [&](Vertex u, Vertex v) { ch.emplace_back(u, v); });
   ASSERT_EQ(ch.size(), 3u);
   EXPECT_EQ(ch[0], std::make_pair(0u, 3u));
   EXPECT_EQ(ch[1], std::make_pair(0u, 4u));
   EXPECT_EQ(ch[2], std::make_pair(3u, 4u));
-}
-
-TEST(Cycle, CanonicalRotationInvariant) {
-  EXPECT_EQ(canonical({2, 3, 0, 1}), canonical({0, 1, 2, 3}));
-}
-
-TEST(Cycle, CanonicalReflectionInvariant) {
-  EXPECT_EQ(canonical({0, 3, 2, 1}), canonical({0, 1, 2, 3}));
-}
-
-TEST(Cycle, CanonicalDistinguishesDifferentCycles) {
-  // (0,1,2,3) and (0,2,1,3) are different 4-cycles.
-  EXPECT_NE(canonical({0, 1, 2, 3}), canonical({0, 2, 1, 3}));
 }
 
 TEST(Cycle, ToStringFormat) {

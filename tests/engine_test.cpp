@@ -15,9 +15,9 @@
 #include "ccov/baselines/emz.hpp"
 #include "ccov/baselines/triple_cover.hpp"
 #include "ccov/covering/bounds.hpp"
-#include "ccov/covering/canonical.hpp"
 #include "ccov/covering/construct.hpp"
 #include "ccov/covering/greedy.hpp"
+#include "ccov/covering/lambda_cover.hpp"
 #include "ccov/engine/batch.hpp"
 #include "ccov/engine/cache.hpp"
 #include "ccov/engine/engine.hpp"
@@ -25,7 +25,6 @@
 #include "ccov/engine/request.hpp"
 #include "ccov/engine/serve.hpp"
 #include "ccov/engine/store.hpp"
-#include "ccov/extensions/lambda_cover.hpp"
 #include "ccov/graph/generators.hpp"
 #include "ccov/util/failpoint.hpp"
 #include "ccov/util/json.hpp"
@@ -133,7 +132,7 @@ TEST(Engine, LambdaAlgorithmValidatesAgainstLambdaDemand) {
   ASSERT_TRUE(resp.ok) << resp.error;
   EXPECT_TRUE(resp.validated);
   EXPECT_TRUE(resp.valid);
-  EXPECT_TRUE(ccov::extensions::validate_lambda_cover(resp.cover, 2));
+  EXPECT_TRUE(cov::validate_lambda_cover(resp.cover, 2));
 }
 
 TEST(Engine, C4BaselineIsInvalidUnderDrcByDesign) {
@@ -165,7 +164,7 @@ TEST(CoverCache, WarmSolveHitSkipsTheSearch) {
   ASSERT_TRUE(warm.ok);
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(warm.nodes, 0u);  // nothing was re-searched
-  EXPECT_TRUE(cov::covers_isomorphic(cold.cover, warm.cover));
+  EXPECT_EQ(warm.cover.cycles, cold.cover.cycles);
 
   const auto stats = engine.cache().stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -332,6 +331,37 @@ TEST(CoverCache, BudgetStarvedNegativesAreNotCached) {
   EXPECT_GT(second.nodes, 0u);
 }
 
+TEST(CoverCache, OutOfRangeDemandNeverHitsAnInRangeEntry) {
+  // 13 wraps to 1 on C_12, but [[0,13]] is not the chord (0,1): it must
+  // stay an error after [[0,1]] is cached, not answer from that entry.
+  eng::Engine engine;
+  auto in_range = make_req("greedy", 12);
+  in_range.demand = {{0, 1}};
+  ASSERT_TRUE(engine.run(in_range).ok);
+  auto out_of_range = make_req("greedy", 12);
+  out_of_range.demand = {{0, 13}};
+  EXPECT_NE(eng::canonical_request_key(out_of_range).key,
+            eng::canonical_request_key(in_range).key);
+  const auto hits = engine.cache().stats().hits;
+  const auto resp = engine.run(out_of_range);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_FALSE(resp.cache_hit);
+  EXPECT_NE(resp.error.find("out of range"), std::string::npos) << resp.error;
+  EXPECT_EQ(engine.cache().stats().hits, hits);
+}
+
+TEST(CoverCache, RepeatedGreedyDemandChordIsAnUncachedError) {
+  // Greedy covers each chord once; a repeated chord used to come back
+  // found but invalid, and cached.
+  eng::Engine engine;
+  auto req = make_req("greedy", 6);
+  req.demand = {{0, 1}, {1, 0}};
+  const auto resp = engine.run(req);
+  EXPECT_FALSE(resp.ok);
+  EXPECT_EQ(resp.error, "greedy_cover_demand: repeated demand chord (0,1)");
+  EXPECT_EQ(engine.cache().size(), 0u);
+}
+
 TEST(CoverCache, ShardedHitsBackMapAcrossRandomDihedralElements) {
   // Property test for D_n correctness under sharding: random demand
   // graphs, random group elements — a hit through whichever shard the
@@ -431,21 +461,24 @@ TEST(CoverCache, ConcurrentLookupsKeepAggregateStatsConsistent) {
 }
 
 TEST(CoverCache, ApplyElementRoundTrips) {
-  const auto cover = cov::build_optimal_cover(9);
+  constexpr std::uint32_t kN = 9;
+  const auto cover = cov::build_optimal_cover(kN);
   for (const bool reflect : {false, true}) {
-    for (std::uint32_t shift = 0; shift < 9; ++shift) {
+    for (std::uint32_t shift = 0; shift < kN; ++shift) {
       const eng::DihedralElement g{reflect, shift};
       const auto there = eng::apply_element(cover, g);
-      const auto back = eng::apply_inverse(there, g);
-      EXPECT_TRUE(cov::covers_isomorphic(cover, there));
-      // Round trip is the identity on the nose, not just up to D_n.
-      EXPECT_EQ(cov::canonical_cover(back).cycles,
-                cov::canonical_cover(cover).cycles);
-      EXPECT_TRUE(cov::validate_cover(back).ok);
-      // apply_element is the reference rotate(reflect(.)) vertex map.
-      const auto ref =
-          cov::rotate_cover(reflect ? cov::reflect_cover(cover) : cover, shift);
-      EXPECT_EQ(there.cycles, ref.cycles);
+      // A D_n image of a valid cover is valid, and the round trip is the
+      // identity on the nose.
+      EXPECT_TRUE(cov::validate_cover(there).ok);
+      EXPECT_EQ(eng::apply_inverse(there, g).cycles, cover.cycles);
+      // apply_element is the vertex map v -> rot_shift(refl^reflect(v)).
+      ASSERT_EQ(there.cycles.size(), cover.cycles.size());
+      for (std::size_t i = 0; i < cover.cycles.size(); ++i) {
+        cov::Cycle ref;
+        for (const cov::Vertex v : cover.cycles[i])
+          ref.push_back(((reflect ? (kN - v) % kN : v) + shift) % kN);
+        EXPECT_EQ(there.cycles[i], ref);
+      }
     }
   }
   // map and unmap are inverse bijections for every element of D_n.

@@ -313,14 +313,17 @@ TEST(Http, MissingContentLengthIs411AndChunkedRequestIs501) {
 }
 
 TEST(Http, OversizedHeadIs431) {
-  eng::ServeConfig config;
-  config.max_header_bytes = 256;
-  HttpHarness server(config);
+  HttpHarness server;
   HttpClient client(server.port());
   ASSERT_TRUE(client.connected());
-  client.send_text("GET /metrics HTTP/1.1\r\nX-Padding: " +
-                   std::string(1000, 'p') + "\r\n");
-  EXPECT_EQ(client.read_response().status, 431);
+  // One byte over the 64 KiB head limit, with no blank line: the server
+  // must read every byte sent before it can refuse the head.
+  const std::string start = "GET /metrics HTTP/1.1\r\nX-Padding: ";
+  const std::size_t pad = (64 << 10) + 1 - start.size() - 2;
+  client.send_text(start + std::string(pad, 'p') + "\r\n");
+  const auto resp = client.read_response();
+  EXPECT_EQ(resp.status, 431);
+  EXPECT_EQ(resp.body, "request head exceeds 65536 bytes\n");
 }
 
 TEST(Http, OversizedBodyLineIsAnsweredInBand) {

@@ -4,10 +4,10 @@
 #include <vector>
 
 #include "ccov/covering/bounds.hpp"
-#include "ccov/extensions/lambda_cover.hpp"
+#include "ccov/covering/lambda_cover.hpp"
 
 using namespace ccov;
-using namespace ccov::extensions;
+using namespace ccov::covering;
 
 // ---------- lambda * K_n ----------
 

@@ -92,14 +92,6 @@ TEST(Arc, ComplementInvolution) {
   EXPECT_EQ(complement(r, c), a);
 }
 
-TEST(Arc, OverlapDetection) {
-  Ring r(10);
-  EXPECT_TRUE(arcs_overlap(r, Arc{0, 3}, Arc{2, 2}));
-  EXPECT_FALSE(arcs_overlap(r, Arc{0, 2}, Arc{2, 2}));
-  EXPECT_TRUE(arcs_overlap(r, Arc{8, 4}, Arc{0, 1}));  // wrap
-  EXPECT_FALSE(arcs_overlap(r, Arc{8, 2}, Arc{0, 3}));
-}
-
 TEST(Arc, EdgesEnumerated) {
   Ring r(6);
   auto edges = arc_edges(r, Arc{4, 3});
@@ -180,14 +172,6 @@ TEST(Routing, EvenLoadWithinOneOfAverage) {
     EXPECT_GE(l + 3, avg);
     EXPECT_LE(l, avg + 3);
   }
-}
-
-TEST(Routing, RouteMinorUsesMinorArcs) {
-  Ring r(9);
-  auto arcs = route_minor(r, {{0, 4}, {2, 8}});
-  ASSERT_EQ(arcs.size(), 2u);
-  EXPECT_EQ(arcs[0].len, 4u);
-  EXPECT_EQ(arcs[1].len, 3u);  // dist(2,8) = 3 via wrap
 }
 
 // Property sweep: complement length identity and dist symmetry.

@@ -170,8 +170,9 @@ TEST(SolverCandidates, DuplicateFreeForEveryChord) {
           EXPECT_TRUE(std::is_sorted(c.begin(), c.end())) << to_string(c);
           // (a, b) must be an edge of the circularly ordered cycle.
           bool has_chord = false;
-          for (const auto& [u, v] : cycle_chords(c))
+          for_each_chord(c, [&](Vertex u, Vertex v) {
             has_chord |= (u == a && v == b);
+          });
           EXPECT_TRUE(has_chord) << to_string(c);
         }
       }

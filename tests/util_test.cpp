@@ -22,18 +22,6 @@ namespace cu = ccov::util;
 TEST(Ints, CeilDivExact) { EXPECT_EQ(cu::ceil_div(10, 5), 2); }
 TEST(Ints, CeilDivRoundsUp) { EXPECT_EQ(cu::ceil_div(11, 5), 3); }
 TEST(Ints, CeilDivZeroNumerator) { EXPECT_EQ(cu::ceil_div(0, 7), 0); }
-TEST(Ints, ModPosPositive) { EXPECT_EQ(cu::mod_pos(7, 5), 2); }
-TEST(Ints, ModPosNegative) { EXPECT_EQ(cu::mod_pos(-3, 5), 2); }
-TEST(Ints, ModPosMultiple) { EXPECT_EQ(cu::mod_pos(-10, 5), 0); }
-TEST(Ints, Gcd) { EXPECT_EQ(cu::gcd_of(12u, 18u), 6u); }
-TEST(Ints, GcdCoprime) { EXPECT_EQ(cu::gcd_of(7u, 9u), 1u); }
-TEST(Ints, GcdWithZero) { EXPECT_EQ(cu::gcd_of(0u, 5u), 5u); }
-TEST(Ints, Choose2) {
-  EXPECT_EQ(cu::choose2<std::uint64_t>(0), 0u);
-  EXPECT_EQ(cu::choose2<std::uint64_t>(1), 0u);
-  EXPECT_EQ(cu::choose2<std::uint64_t>(5), 10u);
-  EXPECT_EQ(cu::choose2<std::uint64_t>(100), 4950u);
-}
 
 TEST(Prng, Deterministic) {
   cu::Xoshiro256 a(42), b(42);
@@ -162,17 +150,6 @@ TEST(ThreadPool, RunsAllTasks) {
   group.wait();
   EXPECT_EQ(counter.load(), 100);
 }
-TEST(ThreadPool, ParallelForCoversRange) {
-  cu::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(50);
-  cu::parallel_for(pool, 10, 40, [&](std::size_t i) { hits[i]++; });
-  for (std::size_t i = 0; i < 50; ++i)
-    EXPECT_EQ(hits[i].load(), (i >= 10 && i < 40) ? 1 : 0) << i;
-}
-TEST(ThreadPool, EmptyRangeIsNoop) {
-  cu::ThreadPool pool(2);
-  cu::parallel_for(pool, 5, 5, [](std::size_t) { FAIL(); });
-}
 TEST(ThreadPool, ZeroThreadsFallsBackToHardwareConcurrency) {
   cu::ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
@@ -216,20 +193,6 @@ TEST(ThreadPool, FirstOfSeveralExceptionsWins) {
   }
   group.wait();  // cleared: a second wait does not rethrow
 }
-TEST(ThreadPool, ParallelForPropagatesTaskException) {
-  cu::ThreadPool pool(4);
-  EXPECT_THROW(cu::parallel_for(pool, 0, 100,
-                                [](std::size_t i) {
-                                  if (i == 37)
-                                    throw std::invalid_argument("bad index");
-                                }),
-               std::invalid_argument);
-  // Remaining chunks completed; the pool is still usable afterwards.
-  std::vector<std::atomic<int>> hits(20);
-  cu::parallel_for(pool, 0, 20, [&](std::size_t i) { hits[i]++; });
-  for (std::size_t i = 0; i < 20; ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
 TEST(TaskGroup, WaitReturnsWhileOtherGroupsStillRun) {
   // A group's wait() must block on its own tasks only, not on every
   // in-flight task in the pool.
@@ -266,11 +229,11 @@ TEST(TaskGroup, ExceptionsRouteToTheSubmittingBatch) {
   failing.wait();  // cleared on rethrow
 }
 
-TEST(ThreadPool, ConcurrentParallelForCallersAreIsolated) {
-  // Regression: two OS threads share one pool; one's parallel_for body
-  // always throws, the other's never does. Every failing call must
-  // observe its own exception and the succeeding caller must never see
-  // one.
+TEST(TaskGroup, ConcurrentCallersAreIsolated) {
+  // Regression: two OS threads share one pool, each waiting on its own
+  // group; one's tasks sometimes throw, the other's never do. Every
+  // failing batch must observe its own exception and the succeeding
+  // caller must never see one.
   cu::ThreadPool pool(4);
   constexpr int kRounds = 25;
   constexpr std::size_t kSpan = 64;
@@ -280,21 +243,26 @@ TEST(ThreadPool, ConcurrentParallelForCallersAreIsolated) {
   std::atomic<int> bad_exceptions{0};
 
   std::thread bad([&] {
+    cu::TaskGroup group;
     for (int r = 0; r < kRounds; ++r) {
-      try {
-        cu::parallel_for(pool, 0, kSpan, [](std::size_t i) {
+      for (std::size_t i = 0; i < kSpan; ++i)
+        pool.submit(group, [i] {
           if (i % 7 == 3) throw std::invalid_argument("bad batch");
         });
+      try {
+        group.wait();
       } catch (const std::invalid_argument&) {
         bad_exceptions++;
       }
     }
   });
   std::thread good([&] {
+    cu::TaskGroup group;
     for (int r = 0; r < kRounds; ++r) {
+      for (std::size_t i = 0; i < kSpan; ++i)
+        pool.submit(group, [&] { good_hits++; });
       try {
-        cu::parallel_for(pool, 0, kSpan,
-                         [&](std::size_t) { good_hits++; });
+        group.wait();
       } catch (...) {
         good_saw_exception++;
       }

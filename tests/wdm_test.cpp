@@ -4,6 +4,7 @@
 
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/construct.hpp"
+#include "ccov/graph/generators.hpp"
 #include "ccov/wdm/cost.hpp"
 #include "ccov/wdm/instance.hpp"
 #include "ccov/wdm/network.hpp"
@@ -21,7 +22,8 @@ TEST(Instance, AllToAllIsComplete) {
 }
 
 TEST(Instance, UniformLambda) {
-  const auto inst = Instance::uniform(5, 3);
+  const Instance inst(graph::complete_multigraph(5, 3));
+  EXPECT_EQ(inst.nodes(), 5u);
   EXPECT_EQ(inst.num_requests(), 30u);
 }
 

@@ -184,7 +184,9 @@ std::optional<std::vector<ccov::engine::CoverRequest>> range_requests(
 int cmd_cover(const ccov::util::Cli& cli) {
   const auto n = get_uint<std::uint32_t>(cli, "n", 9);
   const auto cover = ccov::covering::build_optimal_cover(n);
-  std::cout << ccov::covering::summary(cover) << "\n";
+  std::cout << ccov::covering::summary(
+                   cover, ccov::covering::validate_cover(cover))
+            << "\n";
   const std::string out = cli.get("out", "");
   if (!out.empty()) {
     ccov::covering::save_cover(out, cover);
@@ -203,7 +205,7 @@ int cmd_validate(const ccov::util::Cli& cli) {
   }
   const auto cover = ccov::covering::load_cover(in);
   const auto rep = ccov::covering::validate_cover(cover);
-  std::cout << ccov::covering::summary(cover) << "\n";
+  std::cout << ccov::covering::summary(cover, rep) << "\n";
   if (!rep.ok) std::cout << "error: " << rep.error << "\n";
   return rep.ok ? 0 : 1;
 }
