@@ -20,7 +20,7 @@ int main() {
       const auto cover = build_lambda_cover(n, lam);
       const auto lb = rho_lambda_lower_bound(n, lam);
       t.add(n, lam, lb, cover.size(), cover.size() - lb,
-            validate_lambda_cover(cover, lam) ? "yes" : "NO");
+            validate_cover(cover, lam).ok ? "yes" : "NO");
     }
   }
   t.print(std::cout, "DRC-coverings of lambda*K_n over C_n");

@@ -36,9 +36,11 @@ struct ValidationReport {
   std::size_t non_drc_cycles = 0;    ///< cycles violating the DRC
 };
 
-/// Validate against the all-to-all demand K_n: every cycle must satisfy the
-/// DRC on C_n and every chord of K_n must be covered at least once.
-ValidationReport validate_cover(const RingCover& cover);
+/// Validate against the all-to-all demand lambda*K_n: every cycle must
+/// satisfy the DRC on C_n and every chord of K_n must be covered at least
+/// lambda times. Counts coverage per chord, so the demand is never built.
+ValidationReport validate_cover(const RingCover& cover,
+                                std::uint32_t lambda = 1);
 
 /// Validate against an arbitrary demand (multi)graph on n vertices: each
 /// demand edge must be covered with at least its multiplicity.

@@ -26,9 +26,4 @@ std::uint64_t rho_lambda_lower_bound(std::uint32_t n, std::uint32_t lambda);
 /// Throws std::invalid_argument for lambda == 0.
 RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda);
 
-/// Validate a cover against the lambda*K_n demand (every chord covered at
-/// least lambda times).
-bool validate_lambda_cover(const RingCover& cover,
-                           std::uint32_t lambda);
-
 }  // namespace ccov::covering

@@ -61,8 +61,9 @@ std::optional<std::pair<std::uint64_t, RingCover>> solve_minimum(
 /// Parallel variant; solve_with_budget is its one-worker case, which
 /// starts no thread. The root node is visited once, then `threads`
 /// workers (the caller plus threads-1 helpers; 0 = hardware concurrency,
-/// capped at the root fan-out) claim the root subtrees in index order,
-/// drawing from one node budget (`opts.max_nodes` in total). The witness
+/// capped at the core count and at the root fan-out) claim the root
+/// subtrees in index order, drawing from one node budget
+/// (`opts.max_nodes` in total). The witness
 /// is the lowest successful subtree's, i.e. the serial cover. Once a
 /// subtree stops for the budget, deadline or cancel token, no further
 /// subtree starts. So `nodes` and `cover` equal the serial result

@@ -78,28 +78,39 @@ bool check_cycles(const RingCover& cover, ValidationReport& rep,
 
 }  // namespace
 
-ValidationReport validate_cover(const RingCover& cover) {
+ValidationReport validate_cover(const RingCover& cover, std::uint32_t lambda) {
   ValidationReport rep;
   std::vector<std::uint64_t> chords;
   if (!check_cycles(cover, rep, chords)) return rep;
-  // K_n demands each of its n(n-1)/2 chords once, and every valid cycle
-  // chord is one of them: the counts follow from the distinct chords.
-  const std::size_t distinct = static_cast<std::size_t>(
-      std::unique(chords.begin(), chords.end()) - chords.begin());
-  const std::uint64_t n = cover.n;
-  rep.duplicate_coverage = chords.size() - distinct;
-  rep.uncovered_chords = n * (n - 1) / 2 - distinct;
-  rep.ok = rep.uncovered_chords == 0;
-  if (!rep.ok) {
-    // The first uncovered chord is the first gap in the sorted list.
-    Vertex u = 0, v = 1;
-    for (std::size_t i = 0; i < distinct && chords[i] == pack(u, v); ++i)
-      if (++v == cover.n) {
-        ++u;
-        v = u + 1;
-      }
-    rep.error = uncovered_error(pack(u, v), 0, 1);
+  // lambda*K_n demands each of its n(n-1)/2 chords lambda times, and
+  // every valid cycle chord is one of them: the counts follow from the
+  // runs of equal chords in the sorted list, without building the
+  // demand. (u, v) walks the chords in the same order, so the first gap
+  // or short run is the first uncovered chord.
+  std::uint64_t met = 0;  // sum over chords of min(count, lambda)
+  Vertex u = 0, v = 1;
+  for (std::size_t i = 0, j = 0; i < chords.size(); i = j) {
+    while (j < chords.size() && chords[j] == chords[i]) ++j;
+    const std::uint64_t have = j - i;
+    const std::uint64_t used = std::min<std::uint64_t>(have, lambda);
+    met += used;
+    rep.duplicate_coverage += have - used;
+    if (!rep.error.empty()) continue;
+    if (chords[i] != pack(u, v)) {
+      rep.error = uncovered_error(pack(u, v), 0, lambda);
+    } else if (have < lambda) {
+      rep.error = uncovered_error(chords[i], static_cast<std::uint32_t>(have),
+                                  lambda);
+    } else if (++v == cover.n) {
+      ++u;
+      v = u + 1;
+    }
   }
+  const std::uint64_t n = cover.n;
+  rep.uncovered_chords = lambda * (n * (n - 1) / 2) - met;
+  rep.ok = rep.uncovered_chords == 0;
+  if (!rep.ok && rep.error.empty())
+    rep.error = uncovered_error(pack(u, v), 0, lambda);
   return rep;
 }
 

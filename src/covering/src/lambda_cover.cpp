@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "ccov/covering/construct.hpp"
-#include "ccov/graph/generators.hpp"
 #include "ccov/ring/routing.hpp"
 #include "ccov/util/ints.hpp"
 
@@ -35,12 +34,6 @@ RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda) {
   for (std::uint32_t k = 0; k < lambda; ++k)
     for (const auto& c : base.cycles) out.cycles.push_back(c);
   return out;
-}
-
-bool validate_lambda_cover(const RingCover& cover,
-                           std::uint32_t lambda) {
-  const auto demand = graph::complete_multigraph(cover.n, lambda);
-  return validate_cover_against(cover, demand).ok;
 }
 
 }  // namespace ccov::covering

@@ -345,7 +345,11 @@ SolverResult run_search(std::uint32_t n, std::uint64_t budget,
   bool clean = lead.stop == Stop::kNone;
 
   std::vector<Subtree> out(roots.size());
-  if (workers == 0) workers = std::thread::hardware_concurrency();
+  // Never more workers than cores. The witness and node count do not
+  // depend on the worker count while nothing stops.
+  const std::size_t cores =
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  if (workers == 0 || workers > cores) workers = cores;
   const std::size_t helpers =
       std::max<std::size_t>(std::min(workers, roots.size()), 1) - 1;
   {

@@ -1,17 +1,17 @@
 #pragma once
 /// \file net.hpp
-/// TCP plumbing for the serve front ends (POSIX sockets). The pieces
+/// Socket plumbing for the serve front ends (POSIX sockets). The pieces
 /// layer cleanly:
 ///
-///  - TcpListener / SocketStream: a bound listening socket and a
-///    ServeStream over one accepted connection, both non-blocking with
-///    all waiting in poll;
+///  - Listener / SocketStream: a bound listening socket (TCP, or a Linux
+///    abstract Unix name) and a ServeStream over one accepted
+///    connection, both non-blocking with all waiting in poll;
 ///  - ConnectionServer: the transport-agnostic accept loop — self-pipe
 ///    shutdown, thread-per-connection, max-clients bound, periodic
 ///    reaping — parameterized over what to do with an accepted socket;
 ///  - ServeServer: ConnectionServer + the JSONL serve protocol, one
 ///    serve_session per connection (http.hpp builds the HTTP front end
-///    on the same ConnectionServer).
+///    and shm.hpp the shared-memory one on the same ConnectionServer).
 ///
 /// Shutdown is cooperative through a self-pipe: shutdown() (or a signal
 /// handler via wake_fd()) writes one byte, the accept loop and every
@@ -48,17 +48,31 @@ bool parse_endpoint(const std::string& spec, std::string* host,
 /// ConnectionServer's constructor.
 void ignore_sigpipe();
 
-/// A bound, listening TCP socket (accept backlog 64). Throws
+/// Connect a blocking Unix stream socket to the abstract address
+/// "\0" + abstract_name (see Listener). Returns the fd, or -1 with
+/// errno set (ECONNREFUSED when nothing listens on the name, ENOTSUP
+/// off Linux).
+int connect_abstract(const std::string& abstract_name);
+
+/// A bound, listening stream socket (accept backlog 64). Throws
 /// std::runtime_error when the address cannot be resolved or bound.
-class TcpListener {
+class Listener {
  public:
-  TcpListener(const std::string& host, std::uint16_t port);
-  ~TcpListener();
+  /// TCP on host:port.
+  Listener(const std::string& host, std::uint16_t port);
+  /// Unix stream socket at the Linux abstract address "\0" + name:
+  /// nothing is created in the file system, and the kernel frees the
+  /// name when the socket closes, however its process ends. A name
+  /// that a live listener holds throws "already being served"; every
+  /// name throws off Linux.
+  explicit Listener(const std::string& abstract_name);
+  ~Listener();
 
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
 
-  /// The actually bound port — resolves port 0 to the kernel's pick.
+  /// The actually bound TCP port — resolves port 0 to the kernel's
+  /// pick; 0 for an abstract Unix listener.
   std::uint16_t port() const { return port_; }
 
   /// Block until a connection arrives, `wake_fd` becomes readable, or
@@ -111,7 +125,7 @@ class SocketStream final : public ServeStream {
   int shutdown_grace_ms_ = -1;
 };
 
-/// The generic accept loop every TCP-based front end shares: binds and
+/// The generic accept loop every socket front end shares: binds and
 /// listens in the constructor (throws std::runtime_error on failure,
 /// so port() is valid before run()), then accepts clients and runs one
 /// callback per connection on its own thread. Connections beyond
@@ -123,14 +137,22 @@ class ConnectionServer {
  public:
   using SessionFn = std::function<void(int client_fd, int wake_fd)>;
 
+  /// TCP on host:port.
   ConnectionServer(const std::string& host, std::uint16_t port,
                    std::size_t max_clients);
+  /// Unix stream socket at the abstract address "\0" + abstract_name.
+  ConnectionServer(const std::string& abstract_name, std::size_t max_clients);
   ~ConnectionServer();
 
   ConnectionServer(const ConnectionServer&) = delete;
   ConnectionServer& operator=(const ConnectionServer&) = delete;
 
   std::uint16_t port() const { return listener_.port(); }
+
+  /// True once shutdown() ran or the accept loop saw the wake pipe fire
+  /// (a signal handler's byte). One atomic load: sessions whose streams
+  /// never block (shared-memory rings) poll it instead of the pipe.
+  bool stopping() const { return stopping_.load(std::memory_order_acquire); }
 
   /// Accept clients until shutdown() is called; joins every connection
   /// thread before returning. Returns 0 on a clean shutdown, 1 when the
@@ -150,12 +172,14 @@ class ConnectionServer {
     std::atomic<bool> done{false};
   };
 
+  void open_wake_pipe();
   void reap_finished(bool join_all);
 
-  TcpListener listener_;
+  Listener listener_;
   std::size_t max_clients_;
   int wake_rd_ = -1;
   int wake_wr_ = -1;
+  std::atomic<bool> stopping_{false};
   util::Mutex conns_mu_;
   std::list<Connection> conns_ CCOV_GUARDED_BY(conns_mu_);
 };
@@ -195,8 +219,8 @@ class ServeServer {
 };
 
 /// Install SIGINT/SIGTERM handlers that write one byte to `wake_fd`
-/// (async-signal-safe) — pass ServeServer::wake_fd() or
-/// HttpServer::wake_fd(), or -1 when there is no wake pipe (the stdio
+/// (async-signal-safe) — pass the wake_fd() of a ServeServer,
+/// HttpServer or ShmServer, or -1 when there is no wake pipe (the stdio
 /// front end, whose blocked read the signal itself interrupts thanks to
 /// the handler's missing SA_RESTART). When `cancel` is non-null the
 /// handler also fires that token (one relaxed atomic store, so still

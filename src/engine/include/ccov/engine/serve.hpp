@@ -82,11 +82,12 @@ struct ServeConfig {
   /// poll interval instead of the deepest in-flight search. May be null.
   const util::CancelToken* cancel = nullptr;
 
-  // --- listener (TCP and HTTP front ends) --------------------------------
+  // --- listener (TCP, HTTP and shared-memory front ends) -----------------
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; the server reports the pick
   /// Concurrent connections beyond this are refused with one in-band
-  /// error (JSONL line on TCP, 503 on HTTP) and closed immediately.
+  /// error (JSONL line on TCP, 503 on HTTP, a refusal in place of the
+  /// segment on shm) and closed immediately.
   std::size_t max_clients = 64;
 
   // --- HTTP front end ----------------------------------------------------
@@ -95,11 +96,12 @@ struct ServeConfig {
   std::size_t max_body_bytes = 64u << 20;
 
   // --- shared-memory front end (shm.hpp) ---------------------------------
-  /// POSIX shm segment name for `--shm` (with or without the leading
-  /// '/'); empty = transport not selected.
+  /// Server name for `--shm` (with or without the leading '/'); the
+  /// server listens on the abstract socket "\0ccov-shm/NAME". Empty =
+  /// transport not selected.
   std::string shm_name;
   /// Per-ring data capacity in bytes (one request ring + one response
-  /// ring per segment); must be a power of two.
+  /// ring per session's segment); must be a power of two.
   std::size_t shm_ring_bytes = 1 << 20;
 };
 

@@ -1,12 +1,29 @@
 #include "ccov/engine/engine.hpp"
 
+#include <cstdint>
 #include <exception>
+#include <string>
 #include <utility>
 
 #include "ccov/covering/cover.hpp"
 #include "ccov/util/timer.hpp"
 
 namespace ccov::engine {
+
+namespace {
+
+/// Largest demand, lambda * n(n-1)/2 chords, a request may ask for:
+/// every algorithm allocates Theta(n^2) and lambda multiplies the cover,
+/// so one unbounded line could ask for tens of GB.
+constexpr std::uint64_t kMaxDemandChords = std::uint64_t{1} << 24;
+
+bool demand_too_large(const CoverRequest& req) {
+  const std::uint64_t chords = std::uint64_t{req.n} * (req.n - 1) / 2;
+  return chords > kMaxDemandChords ||
+         std::uint64_t{req.lambda} * chords > kMaxDemandChords;
+}
+
+}  // namespace
 
 Engine::Engine(EngineOptions opts)
     : opts_(opts), cache_(opts.cache_capacity, opts.cache_shards) {
@@ -96,6 +113,11 @@ CoverResponse Engine::compute(const CoverRequest& req, const Algorithm* algo,
   }
   if (req.n < 3) {
     resp.error = "n must be >= 3";
+    return resp;
+  }
+  if (demand_too_large(req)) {
+    resp.error = "request too large: lambda*n(n-1)/2 must be <= " +
+                 std::to_string(kMaxDemandChords);
     return resp;
   }
 

@@ -6,6 +6,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
@@ -18,6 +19,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 namespace ccov::engine::net {
@@ -86,10 +88,65 @@ bool parse_endpoint(const std::string& spec, std::string* host,
 void ignore_sigpipe() { std::signal(SIGPIPE, SIG_IGN); }
 
 // ---------------------------------------------------------------------------
-// TcpListener
+// Listener
 // ---------------------------------------------------------------------------
 
-TcpListener::TcpListener(const std::string& host, std::uint16_t port) {
+#ifdef __linux__
+namespace {
+
+/// A Unix stream socket at the abstract address "\0" + name, listening
+/// (non-blocking like the TCP listener's) or connected (blocking); -1
+/// with errno set on failure.
+int abstract_socket(const std::string& name, bool listening) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (name.empty() || name.size() >= sizeof addr.sun_path) {
+    errno = ENAMETOOLONG;
+    return -1;
+  }
+  std::memcpy(addr.sun_path + 1, name.data(), name.size());
+  const auto len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) +
+                                          1 + name.size());
+  const auto* sa = reinterpret_cast<const sockaddr*>(&addr);
+  const int type =
+      SOCK_STREAM | SOCK_CLOEXEC | (listening ? SOCK_NONBLOCK : 0);
+  const int fd = ::socket(AF_UNIX, type, 0);
+  if (fd >= 0 && (listening ? ::bind(fd, sa, len) == 0 &&
+                                  ::listen(fd, /*backlog=*/64) == 0
+                            : ::connect(fd, sa, len) == 0))
+    return fd;
+  const int saved = errno;
+  if (fd >= 0) ::close(fd);
+  errno = saved;
+  return -1;
+}
+
+}  // namespace
+
+int connect_abstract(const std::string& abstract_name) {
+  return abstract_socket(abstract_name, /*listening=*/false);
+}
+
+Listener::Listener(const std::string& abstract_name)
+    : fd_(abstract_socket(abstract_name, /*listening=*/true)) {
+  if (fd_ >= 0) return;
+  if (errno == EADDRINUSE)
+    throw std::runtime_error("net: '@" + abstract_name +
+                             "' is already being served");
+  throw_errno("cannot listen on '@" + abstract_name + "'");
+}
+#else
+int connect_abstract(const std::string&) {
+  errno = ENOTSUP;
+  return -1;
+}
+
+Listener::Listener(const std::string&) {
+  throw std::runtime_error("net: abstract Unix sockets need Linux");
+}
+#endif
+
+Listener::Listener(const std::string& host, std::uint16_t port) {
   addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
   hints.ai_socktype = SOCK_STREAM;
@@ -140,16 +197,16 @@ TcpListener::TcpListener(const std::string& host, std::uint16_t port) {
               : ntohs(reinterpret_cast<sockaddr_in*>(&bound)->sin_port);
 }
 
-TcpListener::~TcpListener() { close(); }
+Listener::~Listener() { close(); }
 
-void TcpListener::close() {
+void Listener::close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
 }
 
-int TcpListener::accept_connection(int wake_fd, int timeout_ms) {
+int Listener::accept_connection(int wake_fd, int timeout_ms) {
   for (;;) {
     if (fd_ < 0) return kFailed;
     pollfd fds[2];
@@ -314,6 +371,16 @@ void on_shutdown_signal(int) {
 ConnectionServer::ConnectionServer(const std::string& host, std::uint16_t port,
                                    std::size_t max_clients)
     : listener_(host, port), max_clients_(max_clients) {
+  open_wake_pipe();
+}
+
+ConnectionServer::ConnectionServer(const std::string& abstract_name,
+                                   std::size_t max_clients)
+    : listener_(abstract_name), max_clients_(max_clients) {
+  open_wake_pipe();
+}
+
+void ConnectionServer::open_wake_pipe() {
   ignore_sigpipe();
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) throw_errno("pipe");
@@ -333,6 +400,7 @@ ConnectionServer::~ConnectionServer() {
 }
 
 void ConnectionServer::shutdown() {
+  stopping_.store(true, std::memory_order_release);
   if (wake_wr_ >= 0) {
     const char byte = 's';
     [[maybe_unused]] const ssize_t rc = ::write(wake_wr_, &byte, 1);
@@ -358,14 +426,17 @@ int ConnectionServer::run(SessionFn session, SessionFn reject) {
     // connection threads unjoined.
     const int client =
         listener_.accept_connection(wake_rd_, /*timeout_ms=*/1000);
-    if (client == TcpListener::kTick) {
+    if (client == Listener::kTick) {
       reap_finished(/*join_all=*/false);
       continue;
     }
     if (client < 0) {
       // A broken listener is a failure, not a clean shutdown: callers
       // (and scripts watching the exit code) must be able to tell.
-      if (client == TcpListener::kFailed) rc = 1;
+      if (client == Listener::kFailed) rc = 1;
+      // A signal handler only writes the wake byte; raise the flag
+      // here for the sessions that poll it instead of the pipe.
+      stopping_.store(true, std::memory_order_release);
       break;
     }
     // Reap after accept, not before it: connections that finished while

@@ -8,6 +8,7 @@
 #include "ccov/baselines/triple_cover.hpp"
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/construct.hpp"
+#include "ccov/covering/cover.hpp"
 #include "ccov/covering/greedy.hpp"
 #include "ccov/covering/lambda_cover.hpp"
 #include "ccov/covering/solver.hpp"
@@ -82,7 +83,7 @@ AlgorithmOutcome run_lambda(const CoverRequest& req) {
 
 bool validate_lambda(const CoverRequest& req,
                      const covering::RingCover& cover) {
-  return covering::validate_lambda_cover(cover, req.lambda);
+  return covering::validate_cover(cover, req.lambda).ok;
 }
 
 AlgorithmOutcome run_solve(const CoverRequest& req) {
@@ -127,8 +128,8 @@ constexpr std::array<Algorithm, 8> kAlgorithms = {{
      "exact branch-and-bound search within --budget cycles (default rho(n))",
      true, run_solve, nullptr},
     {"solve-parallel",
-     "exact search fanned across --threads (shared node budget, witness "
-     "identical to solve)",
+     "exact search fanned across --threads, at most one per core (shared "
+     "node budget, witness identical to solve)",
      true, run_solve_parallel, nullptr},
     {"triple",
      "classical triangle covering C(n,3,2), no routing constraint "

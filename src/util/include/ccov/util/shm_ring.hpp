@@ -118,14 +118,6 @@ class ShmByteRing {
   /// teardown uses this so a blocked peer re-checks shutdown promptly.
   void wake_all();
 
-  /// Empty the ring for a new session, keeping the capacity. Every
-  /// store is atomic — unlike a fresh init(), this may overlap a
-  /// concurrent wake_all() (a shutdown racing a session recycle)
-  /// without a data race. The caller must ensure no live peer is still
-  /// moving bytes; stale sleepers see a sequence bump, wake, and
-  /// re-check their own session state.
-  void reset();
-
  private:
   ShmByteRing(Control* ctrl, char* data) : ctrl_(ctrl), data_(data) {}
 

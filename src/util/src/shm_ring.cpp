@@ -228,10 +228,4 @@ void ShmByteRing::wake_all() {
   futex_wake(&c->space_seq);
 }
 
-void ShmByteRing::reset() {
-  ctrl_->head.store(0, std::memory_order_relaxed);
-  ctrl_->tail.store(0, std::memory_order_release);
-  wake_all();
-}
-
 }  // namespace ccov::util

@@ -5,14 +5,14 @@ set -euo pipefail
 
 CCOV=${1:?usage: cli_smoke.sh <path-to-ccov>}
 TMPDIR_SMOKE=$(mktemp -d)
-# Unique per run so parallel ctest invocations don't share a segment. The
-# server shm_unlink's it on a clean exit; the trap covers failure paths,
-# where an orphaned /dev/shm file would otherwise outlive the test.
+# Unique per run so parallel ctest invocations don't share a server name.
+# A --shm server binds an abstract Unix socket and maps anonymous memfds,
+# so nothing is created under /dev/shm (checked below) and the trap has
+# only the temp dir to remove.
 SHM_NAME="ccov-smoke-$$"
 SHM_RETRY_NAME="ccov-smoke-retry-$$"
 cleanup() {
   rm -rf "${TMPDIR_SMOKE}"
-  rm -f "/dev/shm/${SHM_NAME}" "/dev/shm/${SHM_RETRY_NAME}"
 }
 trap cleanup EXIT
 COVER_FILE="${TMPDIR_SMOKE}/cover.txt"
@@ -331,6 +331,12 @@ grep -q "ccov_cache_entries" "${METRICS_RAW}" \
 kill -TERM "${HTTP_PID}"
 wait "${HTTP_PID}" || fail "http server should exit 0 on SIGTERM"
 
+echo "== oversized requests are refused before they allocate"
+BIG_RC=0
+"${CCOV}" run --algo construct --n 100000 >/dev/null 2>&1 || BIG_RC=$?
+[ "${BIG_RC}" = 1 ] \
+  || fail "run --n 100000 must exit 1 (lambda*n(n-1)/2 above the request cap)"
+
 echo "== ccov serve --shm (shared memory, byte-identical to stdio)"
 SHM_ERR="${TMPDIR_SMOKE}/shm.err"
 "${CCOV}" serve --shm "${SHM_NAME}" 2>"${SHM_ERR}" &
@@ -340,17 +346,19 @@ for _ in $(seq 100); do
   sleep 0.1
 done
 grep -q "shm serving on" "${SHM_ERR}" || fail "shm server did not come up"
-[ -e "/dev/shm/${SHM_NAME}" ] || fail "shm segment missing while serving"
 
 SHM_OUT="${TMPDIR_SMOKE}/shm.jsonl"
 "${CCOV}" client --shm "${SHM_NAME}" < "${REQS}" > "${SHM_OUT}" \
   || fail "shm client round trip failed"
 cmp -s "${SERVE1}" "${SHM_OUT}" \
   || fail "shm responses should be byte-identical to stdio serve"
+SHM_FILE_SEEN=0
+[ ! -e "/dev/shm/${SHM_NAME}" ] || SHM_FILE_SEEN=1
 
 kill -TERM "${SHM_PID}"
 wait "${SHM_PID}" || fail "shm server should exit 0 on SIGTERM"
-[ ! -e "/dev/shm/${SHM_NAME}" ] || fail "shm segment should be unlinked on exit"
+[ "${SHM_FILE_SEEN}" = 0 ] && [ ! -e "/dev/shm/${SHM_NAME}" ] \
+  || fail "nothing named ${SHM_NAME} may exist under /dev/shm during or after a run"
 
 echo "== ccov cache stats / load / save / clear"
 "${CCOV}" cache stats --cache-file "${SNAP}" | grep -q "entries: 1" \

@@ -172,8 +172,8 @@ TEST(Cover, FirstUncoveredChordFollowsTheLastCoveredRun) {
 
 TEST(Cover, ReportsMatchTheMapOracle) {
   // Random covers (mostly circularly ordered C3/C4s, some crossing or
-  // malformed cycles) against K_n and against random multigraph demands:
-  // every report field must equal the reference validator's.
+  // malformed cycles) against K_n, lambda*K_n and random multigraph
+  // demands: every report field must equal the reference validator's.
   ccov::util::Xoshiro256 rng(0x5EEDu);
   for (int iter = 0; iter < 400; ++iter) {
     const auto n = static_cast<std::uint32_t>(3 + rng.below(8));
@@ -196,6 +196,14 @@ TEST(Cover, ReportsMatchTheMapOracle) {
     expect_same_report(validate_cover(cover),
                        oracle_validate(cover, ccov::graph::complete_graph(n)),
                        iter);
+    // lambda*K_n by counting must agree with the merge against the
+    // demand built edge by edge.
+    for (const std::uint32_t lambda : {1u, 2u, 3u})
+      expect_same_report(
+          validate_cover(cover, lambda),
+          validate_cover_against(
+              cover, ccov::graph::complete_multigraph(n, lambda)),
+          iter);
     ccov::graph::Graph demand(n);
     for (std::size_t e = rng.below(3 * n); e > 0; --e) {
       const auto u = static_cast<Vertex>(rng.below(n));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -132,7 +133,7 @@ TEST(Engine, LambdaAlgorithmValidatesAgainstLambdaDemand) {
   ASSERT_TRUE(resp.ok) << resp.error;
   EXPECT_TRUE(resp.validated);
   EXPECT_TRUE(resp.valid);
-  EXPECT_TRUE(cov::validate_lambda_cover(resp.cover, 2));
+  EXPECT_TRUE(cov::validate_cover(resp.cover, 2).ok);
 }
 
 TEST(Engine, C4BaselineIsInvalidUnderDrcByDesign) {
@@ -1303,6 +1304,31 @@ TEST(Serve, LambdaZeroIsAnInBandErrorAndIsNotCached) {
   const std::string second = text.substr(text.find('\n') + 1);
   EXPECT_EQ(second.rfind("{\"id\":1,\"ok\":false,", 0), 0u) << second;
   EXPECT_NE(second.find("lambda >= 1"), std::string::npos) << second;
+  EXPECT_EQ(engine.cache().size(), 1u);
+}
+
+TEST(Serve, OversizedDemandIsAnInBandErrorAndIsNotCached) {
+  // lambda*n(n-1)/2 above 2^24 chords is refused before any algorithm
+  // allocates its Theta(n^2) tables: both lines answer at once, and
+  // neither error is cached.
+  eng::Engine engine;
+  std::istringstream in(
+      "{\"algo\":\"construct\",\"n\":9}\n"
+      "{\"algo\":\"construct\",\"n\":100000}\n"
+      "{\"algo\":\"lambda\",\"n\":40,\"lambda\":100000000}\n");
+  std::ostringstream out;
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(eng::serve_loop(in, out, engine, {}), 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  std::istringstream lines(out.str());
+  std::string line;
+  for (int id = 0; std::getline(lines, line); ++id) {
+    if (id == 0) continue;
+    EXPECT_EQ(line.rfind("{\"id\":" + std::to_string(id) + ",\"ok\":false,", 0),
+              0u)
+        << line;
+    EXPECT_NE(line.find("request too large"), std::string::npos) << line;
+  }
   EXPECT_EQ(engine.cache().size(), 1u);
 }
 

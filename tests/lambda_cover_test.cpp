@@ -27,7 +27,7 @@ TEST(Lambda, EvenNParityOnlyForOddLambda) {
 TEST(Lambda, CopiesConstructionValid) {
   for (std::uint32_t lam : {1u, 2u, 3u}) {
     const auto cover = build_lambda_cover(7, lam);
-    EXPECT_TRUE(validate_lambda_cover(cover, lam)) << lam;
+    EXPECT_TRUE(validate_cover(cover, lam).ok) << lam;
     EXPECT_EQ(cover.size(), lam * covering::rho(7));
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/solver.hpp"
 #include "ccov/util/timer.hpp"
@@ -47,6 +49,22 @@ TEST(ParallelSolver, MoreThreadsThanRootSubtrees) {
   ASSERT_TRUE(par.found);
   EXPECT_EQ(par.nodes, ser.nodes);
   EXPECT_EQ(par.cover.cycles, ser.cover.cycles);
+}
+
+TEST(ParallelSolver, ThreadsFarAboveTheCoreCountMatchOneThread) {
+  // A request for thousands of threads runs at most one worker per
+  // core; nothing stops, so every field equals the one-thread run — a
+  // witness at rho(9) and an exhaustive proof at rho(8) - 1.
+  const std::pair<std::uint32_t, std::uint64_t> cases[] = {{9, rho(9)},
+                                                           {8, rho(8) - 1}};
+  for (const auto& [n, budget] : cases) {
+    const auto one = solve_with_budget_parallel(n, budget, {}, 1);
+    const auto many = solve_with_budget_parallel(n, budget, {}, 4096);
+    EXPECT_EQ(many.found, one.found) << n;
+    EXPECT_EQ(many.exhausted, one.exhausted) << n;
+    EXPECT_EQ(many.nodes, one.nodes) << n;
+    EXPECT_EQ(many.cover.cycles, one.cover.cycles) << n;
+  }
 }
 
 TEST(ParallelSolver, OneThreadMatchesSerialWhenTheBudgetRunsOut) {

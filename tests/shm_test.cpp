@@ -1,19 +1,23 @@
 // Tests for the shared-memory transport: the SPSC byte ring underneath
 // it (wrap-around, backpressure, cross-thread hammering) and the
 // ShmServer/ShmClient pair on top (handshake rejection of torn
-// segments, busy slots, end-to-end byte identity against the stdio
-// transport from a fork()'d client process).
+// segments, concurrent sessions and the max-clients bound, shutdown,
+// end-to-end byte identity against the stdio transport from a fork()'d
+// client process, killed servers and clients).
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/mman.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "ccov/engine/engine.hpp"
+#include "ccov/engine/net.hpp"
 #include "ccov/engine/serve.hpp"
 #include "ccov/engine/shm.hpp"
 #include "ccov/util/shm_ring.hpp"
@@ -44,12 +49,6 @@ void* aligned_base(std::vector<char>& region) {
   void* p = region.data();
   std::size_t space = region.size();
   return std::align(64, region.size() - 64, p, space);
-}
-
-/// A per-test unique segment name: parallel ctest runs must not share
-/// POSIX shm names.
-std::string unique_shm_name(const char* tag) {
-  return std::string("ccov-test-") + tag + "-" + std::to_string(::getpid());
 }
 
 // ---------------------------------------------------------------------------
@@ -215,17 +214,27 @@ TEST(ShmRing, TwoThreadHammer) {
 }
 
 // ---------------------------------------------------------------------------
-// ShmServe: handshake and session behaviour over a real segment.
+// ShmServe: handshake and session behaviour over real connections. The
+// transport (abstract Unix sockets, memfd) exists on Linux only.
 // ---------------------------------------------------------------------------
+
+#ifdef __linux__
+/// A per-test unique server name: parallel ctest runs must not share
+/// one.
+std::string unique_shm_name(const char* tag) {
+  return std::string("ccov-test-") + tag + "-" + std::to_string(::getpid());
+}
 
 /// Serves sessions on a background thread until destruction.
 class ServerFixture {
  public:
   explicit ServerFixture(const std::string& name,
-                         std::size_t ring_bytes = 1 << 16) {
+                         std::size_t ring_bytes = 1 << 16,
+                         std::size_t max_clients = 64) {
     eng::ServeConfig config;
     config.shm_name = name;
     config.shm_ring_bytes = ring_bytes;
+    config.max_clients = max_clients;
     server_ = std::make_unique<shm::ShmServer>(engine_, config);
     thread_ = std::thread([this] { server_->run(); });
   }
@@ -246,14 +255,30 @@ class ServerFixture {
 
 bool connect_with_retry(shm::ShmClient* client, const std::string& name,
                         std::string* error) {
-  // The slot may still be in its post-session reset window, and after a
-  // vanished client the server only probes the pid on wait timeouts —
-  // allow a few seconds, like an interactive CLI retry would.
+  // With a max-clients bound of one, the previous session may still be
+  // winding down; after a vanished client the server only probes its
+  // socket on wait timeouts — allow a few seconds, like an interactive
+  // CLI retry would.
   for (int i = 0; i < 600; ++i) {
     if (client->connect(name, error)) return true;
     ::usleep(5 * 1000);
   }
   return false;
+}
+
+/// One request, one response line, then a clean end of stream.
+void expect_round_trip(shm::ShmClient& client, int n) {
+  ASSERT_TRUE(client.send_line("{\"algo\":\"construct\",\"n\":" +
+                               std::to_string(n) + "}"));
+  client.finish();
+  std::string line;
+  ASSERT_TRUE(client.read_line(&line));
+  // ids restart per connection: each one is a fresh serve_session.
+  EXPECT_EQ(line.rfind("{\"id\":0,", 0), 0u) << line;
+  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+  EXPECT_FALSE(client.read_line(&line));  // EOF after finish()
+  // A clean end-of-stream is the server's eof mark, not an abort.
+  EXPECT_TRUE(client.server_finished());
 }
 
 TEST(ShmServe, NameNormalization) {
@@ -271,15 +296,34 @@ TEST(ShmServe, ConnectRejectsMissingSegment) {
   shm::ShmClient client;
   std::string error;
   EXPECT_FALSE(client.connect(unique_shm_name("missing"), &error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_EQ(error.rfind("no shm server", 0), 0u) << error;
+}
+
+/// Pass `fd` over `sock` the way the server hands out its segment.
+bool pass_fd(int sock, int fd) {
+  char byte = 'F';
+  iovec iov{&byte, 1};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof control;
+  cmsghdr* c = CMSG_FIRSTHDR(&msg);
+  c->cmsg_level = SOL_SOCKET;
+  c->cmsg_type = SCM_RIGHTS;
+  c->cmsg_len = CMSG_LEN(sizeof(int));
+  std::memcpy(CMSG_DATA(c), &fd, sizeof fd);
+  return ::sendmsg(sock, &msg, MSG_NOSIGNAL) == 1;
 }
 
 TEST(ShmServe, ConnectRejectsTornSegment) {
-  // Hand-craft segments that fail each handshake stage: wrong magic
-  // (foreign or mid-construction), wrong version, wrong capacity
-  // geometry, and a header that claims more than the file holds.
+  // A fake listener on the server's abstract address hands out
+  // segments that fail each handshake stage: wrong magic (foreign),
+  // wrong version, wrong capacity geometry, and a header that claims
+  // more than the memfd holds.
   const std::string name = unique_shm_name("torn");
-  const std::string path = "/" + name;
+  eng::net::Listener listener("ccov-shm/" + name);
 
   struct Case {
     std::uint64_t magic;
@@ -293,12 +337,11 @@ TEST(ShmServe, ConnectRejectsTornSegment) {
       {shm::kShmMagic, shm::kShmVersion + 7, 1 << 16, full},  // bad version
       {shm::kShmMagic, shm::kShmVersion, (1 << 16) + 13, full},  // bad cap
       {shm::kShmMagic, shm::kShmVersion, 1 << 16,
-       sizeof(shm::ShmSegmentHeader)},  // truncated file
+       sizeof(shm::ShmSegmentHeader)},  // truncated segment
   };
 
   for (const Case& c : cases) {
-    ::shm_unlink(path.c_str());
-    const int fd = ::shm_open(path.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
+    const int fd = ::memfd_create("ccov-torn", MFD_CLOEXEC);
     ASSERT_GE(fd, 0);
     ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(c.file_bytes)), 0);
     void* mem = ::mmap(nullptr, sizeof(shm::ShmSegmentHeader),
@@ -307,12 +350,15 @@ TEST(ShmServe, ConnectRejectsTornSegment) {
     auto* header = new (mem) shm::ShmSegmentHeader();
     header->version = c.version;
     header->ring_capacity = c.capacity;
-    header->server_pid.store(static_cast<std::uint32_t>(::getpid()),
-                             std::memory_order_relaxed);
     header->magic.store(c.magic, std::memory_order_release);
     ::munmap(mem, sizeof(shm::ShmSegmentHeader));
-    ::close(fd);
 
+    std::thread fake([&] {
+      const int sock = listener.accept_connection(-1, 5000);
+      if (sock < 0) return;
+      pass_fd(sock, fd);
+      ::close(sock);
+    });
     shm::ShmClient client;
     std::string error;
     EXPECT_FALSE(client.connect(name, &error))
@@ -320,53 +366,106 @@ TEST(ShmServe, ConnectRejectsTornSegment) {
         << " capacity=" << c.capacity << " bytes=" << c.file_bytes
         << " must be rejected";
     EXPECT_FALSE(error.empty());
-    ::shm_unlink(path.c_str());
+    fake.join();
+    ::close(fd);
   }
 }
 
-TEST(ShmServe, RoundTripAndSecondClientBusy) {
-  const std::string name = unique_shm_name("busy");
-  ServerFixture server(name);
+/// Take the segment fd the server passes on a raw connection to `name`;
+/// -1 when none arrives.
+int receive_segment_fd(int sock) {
+  char byte = 0;
+  iovec iov{&byte, 1};
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = control;
+  msg.msg_controllen = sizeof control;
+  if (::recvmsg(sock, &msg, MSG_CMSG_CLOEXEC) != 1) return -1;
+  const cmsghdr* c = CMSG_FIRSTHDR(&msg);
+  if (!c || c->cmsg_type != SCM_RIGHTS) return -1;
+  int fd = -1;
+  std::memcpy(&fd, CMSG_DATA(c), sizeof fd);
+  return fd;
+}
 
+TEST(ShmServe, PassedSegmentCannotBeResized) {
+  // A client that shrank its segment would raise SIGBUS in the server
+  // at its next ring access, ending every session: the memfd arrives
+  // sealed, so neither a shrink nor a grow gets through.
+  const std::string name = unique_shm_name("sealed");
+  ServerFixture server(name);
+  const int sock = eng::net::connect_abstract("ccov-shm/" + name);
+  ASSERT_GE(sock, 0) << std::strerror(errno);
+  const int fd = receive_segment_fd(sock);
+  ASSERT_GE(fd, 0);
+  struct stat st{};
+  ASSERT_EQ(::fstat(fd, &st), 0);
+  EXPECT_EQ(static_cast<std::size_t>(st.st_size), shm::segment_bytes(1 << 16));
+  errno = 0;
+  EXPECT_EQ(::ftruncate(fd, 0), -1);
+  EXPECT_EQ(errno, EPERM);
+  errno = 0;
+  EXPECT_EQ(::ftruncate(fd, st.st_size * 2), -1);
+  EXPECT_EQ(errno, EPERM);
+  const int seals = ::fcntl(fd, F_GET_SEALS);
+  EXPECT_EQ(seals & (F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_SEAL),
+            F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_SEAL);
+  ::close(fd);
+  ::close(sock);
+
+  // The server is unharmed and keeps serving.
   shm::ShmClient client;
   std::string error;
   ASSERT_TRUE(connect_with_retry(&client, name, &error)) << error;
-
-  // The slot is SPSC: a second live claimant must be turned away.
-  shm::ShmClient second;
-  EXPECT_FALSE(second.connect(name, &error));
-  EXPECT_NE(error.find("busy"), std::string::npos) << error;
-
-  ASSERT_TRUE(client.send_line("{\"algo\":\"construct\",\"n\":7}"));
-  client.finish();
-  std::string line;
-  ASSERT_TRUE(client.read_line(&line));
-  EXPECT_NE(line.find("\"id\":0"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
-  EXPECT_FALSE(client.read_line(&line));  // EOF after finish()
-  // A clean end-of-stream is the server's eof mark, not an abort.
-  EXPECT_TRUE(client.server_finished());
-  client.close();
+  expect_round_trip(client, 9);
 }
 
-TEST(ShmServe, ProcStartTimeIdentity) {
-#ifdef __linux__
-  // Our own start time must be readable — it is the anti-pid-reuse
-  // token every liveness probe folds in.
-  EXPECT_NE(shm::proc_start_time(static_cast<std::uint32_t>(::getpid())),
-            0u);
-#endif
-  // A pid that cannot exist has no start time.
-  EXPECT_EQ(shm::proc_start_time(0), 0u);
+TEST(ShmServe, ConnectTimesOutOnASilentListener) {
+  // A process that holds the name but never answers (a squatter, or a
+  // wedged server) fails the connect after the handshake bound instead
+  // of blocking it forever.
+  const std::string name = unique_shm_name("silent");
+  eng::net::Listener listener("ccov-shm/" + name);
+  shm::ShmClient client;
+  std::string error;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.connect(name, &error));
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_NE(error.find("did not answer the handshake"), std::string::npos)
+      << error;
+  EXPECT_GE(waited, std::chrono::seconds(4));
+  EXPECT_LT(waited, std::chrono::seconds(15));
+}
+
+TEST(ShmServe, RoundTripTwoClientsAndThirdBusy) {
+  const std::string name = unique_shm_name("busy");
+  ServerFixture server(name, 1 << 16, /*max_clients=*/2);
+
+  // Each connection gets its own segment and session, as a TCP
+  // connection does: two clients are served side by side.
+  shm::ShmClient first, second;
+  std::string error;
+  ASSERT_TRUE(connect_with_retry(&first, name, &error)) << error;
+  ASSERT_TRUE(second.connect(name, &error)) << error;
+
+  // Only the (max_clients+1)-th is turned away.
+  shm::ShmClient third;
+  EXPECT_FALSE(third.connect(name, &error));
+  EXPECT_NE(error.find("busy"), std::string::npos) << error;
+
+  expect_round_trip(second, 7);
+  expect_round_trip(first, 12);
+  first.close();
+  second.close();
 }
 
 TEST(ShmServe, SecondServerOnLiveNameRejected) {
   const std::string name = unique_shm_name("taken");
   ServerFixture server(name);
 
-  // The live server holds an exclusive flock on its segment for its
-  // whole lifetime, so a second server must be turned away even
-  // without looking at the header.
+  // The kernel holds the abstract name for the live server's socket.
   eng::Engine other{eng::EngineOptions{}};
   eng::ServeConfig config;
   config.shm_name = name;
@@ -378,26 +477,6 @@ TEST(ShmServe, SecondServerOnLiveNameRejected) {
               std::string::npos)
         << e.what();
   }
-}
-
-TEST(ShmServe, ZeroMagicLeftoverRecycledAfterGrace) {
-  // A segment whose creator died before publishing the magic: nobody
-  // holds its lock and the magic never appears, so after the grace
-  // window a new server recycles the name instead of failing forever.
-  const std::string name = unique_shm_name("zeromagic");
-  const std::string path = "/" + name;
-  ::shm_unlink(path.c_str());
-  const int fd = ::shm_open(path.c_str(), O_RDWR | O_CREAT | O_EXCL, 0600);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(
-      ::ftruncate(fd, static_cast<off_t>(sizeof(shm::ShmSegmentHeader))), 0);
-  ::close(fd);
-
-  eng::Engine engine{eng::EngineOptions{}};
-  eng::ServeConfig config;
-  config.shm_name = name;
-  shm::ShmServer server(engine, config);  // must not throw
-  EXPECT_EQ(server.name(), path);
 }
 
 TEST(ShmServe, PumpedClientReassemblesSplitLines) {
@@ -453,27 +532,67 @@ TEST(ShmServe, PumpedClientReassemblesSplitLines) {
 }
 
 TEST(ShmServe, SlotRecyclesAcrossSessions) {
+  // One client slot: each finished session must hand it to the next
+  // connection, which starts a fresh session.
   const std::string name = unique_shm_name("recycle");
-  ServerFixture server(name);
+  ServerFixture server(name, 1 << 16, /*max_clients=*/1);
 
   for (int session = 0; session < 3; ++session) {
     shm::ShmClient client;
     std::string error;
     ASSERT_TRUE(connect_with_retry(&client, name, &error))
         << "session " << session << ": " << error;
-    ASSERT_TRUE(client.send_line("{\"algo\":\"construct\",\"n\":9}"));
-    client.finish();
-    std::string line;
-    ASSERT_TRUE(client.read_line(&line)) << "session " << session;
-    // ids restart per session: each session is a fresh serve_session.
-    EXPECT_NE(line.find("\"id\":0"), std::string::npos) << line;
+    expect_round_trip(client, 9);
     client.close();
   }
+  EXPECT_EQ(server.engine()
+                .metrics()
+                .counter("ccov_shm_sessions_total", "")
+                .value(),
+            3u);
+}
+
+TEST(ShmServe, ShutdownEndsASessionThatNeverStopsSending) {
+  // The client keeps both rings busy, so the server's ring reads never
+  // wait: shutdown() must still end the session through the stopping
+  // flag, not a syscall per round trip.
+  const std::string name = unique_shm_name("busyshutdown");
+  eng::Engine engine{eng::EngineOptions{}};
+  eng::ServeConfig config;
+  config.shm_name = name;
+  config.shm_ring_bytes = 1 << 12;
+  shm::ShmServer server(engine, config);
+  std::thread runner([&server] { server.run(); });
+
+  shm::ShmClient client;
+  std::string error;
+  ASSERT_TRUE(connect_with_retry(&client, name, &error)) << error;
+  std::atomic<std::size_t> received{0};
+  std::thread pump([&] {
+    const std::string line = "{\"algo\":\"construct\",\"n\":9}\n";
+    std::string rx;
+    std::size_t off = 0;
+    while (!client.server_finished()) {
+      off += client.try_send(line.data() + off, line.size() - off);
+      if (off == line.size()) off = 0;
+      received += client.drain_available(&rx);
+      rx.clear();
+    }
+  });
+  while (received.load() < 64 * 1024) ::usleep(1000);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.shutdown();
+  runner.join();
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  pump.join();
+  EXPECT_LT(waited, std::chrono::seconds(2));
+  client.close();
 }
 
 // ---------------------------------------------------------------------------
-// ShmProcess: fork()'d end-to-end byte identity. Kept out of the TSan
-// suites (fork + threads don't mix under TSan).
+// ShmProcess: fork()'d end-to-end byte identity and killed peers. Kept
+// out of the TSan suites (fork + threads don't mix under TSan).
 // ---------------------------------------------------------------------------
 
 const char* const kScriptLines[] = {
@@ -548,70 +667,152 @@ TEST(ShmProcess, ForkedClientMatchesStdioBytes) {
 }
 
 TEST(ShmProcess, StaleSegmentRecycledAfterServerDeath) {
-  // A server that dies without running its destructor (crash, SIGKILL)
-  // leaves the segment behind with a published magic and a dead pid.
-  // The kernel drops its flock with the process, so the next server
-  // must probe the header, judge it stale and recycle the name.
+  // A SIGKILLed server runs no destructor, yet leaves nothing behind:
+  // the kernel frees its abstract name with its socket, and segments
+  // are anonymous memfds. The same name serves again at once.
   const std::string name = unique_shm_name("deadserver");
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
+    ::close(ready[0]);
     eng::Engine engine{eng::EngineOptions{}};
     eng::ServeConfig config;
     config.shm_name = name;
     shm::ShmServer server(engine, config);
-    ::_exit(0);  // _exit skips the destructor: the segment stays linked
+    const char byte = 'r';
+    if (::write(ready[1], &byte, 1) != 1) ::_exit(2);
+    for (;;) ::pause();  // until SIGKILL
   }
+  ::close(ready[1]);
+  char byte = 0;
+  ASSERT_EQ(::read(ready[0], &byte, 1), 1);
+  ::close(ready[0]);
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 0);
+  ASSERT_TRUE(WIFSIGNALED(status));
+  EXPECT_NE(::access(("/dev/shm/" + name).c_str(), F_OK), 0);
 
-  eng::Engine engine{eng::EngineOptions{}};
-  eng::ServeConfig config;
-  config.shm_name = name;
-  shm::ShmServer server(engine, config);  // recycles; must not throw
-  EXPECT_EQ(server.name(), "/" + name);
+  ServerFixture server(name);  // must not throw
+  shm::ShmClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect(name, &error)) << error;
+  expect_round_trip(client, 9);
 }
 
 TEST(ShmProcess, VanishedClientFreesSlot) {
   const std::string name = unique_shm_name("vanish");
-  ServerFixture server(name);
+  ServerFixture server(name, 1 << 16, /*max_clients=*/1);
+  eng::Counter& vanished = server.engine().metrics().counter(
+      "ccov_shm_clients_vanished_total", "");
 
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: claim the slot, send half a session, then die without
-    // detaching — the rude-client case the pid probe exists for.
+    // Child: take the only slot, send half a session, then die without
+    // detaching — the rude-client case the socket hang-up exists for.
     shm::ShmClient client;
     std::string error;
     if (!connect_with_retry(&client, name, &error)) ::_exit(2);
     client.send_line("{\"algo\":\"construct\",\"n\":7}");
     std::string line;
     client.read_line(&line);
-    ::_exit(0);  // no close(): the slot still holds our pid
+    ::raise(SIGKILL);
   }
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_EQ(WEXITSTATUS(status), 0);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child failed before its kill";
 
-  // The server's liveness probe must notice the dead pid, tear the
-  // session down and reopen the slot for a fresh client.
+  // The server sees the hang-up at its next ring-wait timeout, ends the
+  // session and frees the slot for a fresh client.
+  const auto t0 = std::chrono::steady_clock::now();
+  while (vanished.value() == 0 &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5))
+    ::usleep(5 * 1000);
+  EXPECT_EQ(vanished.value(), 1u);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(2));
+
   shm::ShmClient next;
   std::string error;
   ASSERT_TRUE(connect_with_retry(&next, name, &error)) << error;
-  ASSERT_TRUE(next.send_line("{\"algo\":\"construct\",\"n\":9}"));
-  next.finish();
-  std::string line;
-  EXPECT_TRUE(next.read_line(&line));
-  EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
-  next.close();
-
-  EXPECT_GE(server.engine()
-                .metrics()
-                .counter("ccov_shm_clients_vanished_total", "")
-                .value(),
-            1u);
+  expect_round_trip(next, 9);
 }
+
+TEST(ShmProcess, PeersOfAnotherUserAreRefused) {
+  // An abstract name has no file permissions, so each side checks the
+  // other's uid: a server refuses a client of another user, and a
+  // client refuses a server (or a squatter on the name) of another.
+  if (::geteuid() != 0) GTEST_SKIP() << "needs root to run as another uid";
+  constexpr uid_t kOther = 65534;  // nobody
+  const std::string name = unique_shm_name("uid");
+
+  // Client of another user. Forked before the server's threads start.
+  int go[2];
+  ASSERT_EQ(::pipe(go), 0);
+  const pid_t client_pid = ::fork();
+  ASSERT_GE(client_pid, 0);
+  if (client_pid == 0) {
+    ::close(go[1]);
+    char byte = 0;
+    if (::setuid(kOther) != 0 || ::read(go[0], &byte, 1) != 1) ::_exit(2);
+    const int sock = eng::net::connect_abstract("ccov-shm/" + name);
+    if (sock < 0) ::_exit(3);
+    if (receive_segment_fd(sock) >= 0) ::_exit(4);  // got a segment
+    shm::ShmClient client;
+    std::string error;
+    if (client.connect(name, &error) ||
+        error.find("run by another user") == std::string::npos)
+      ::_exit(5);
+    ::_exit(0);
+  }
+  ::close(go[0]);
+  {
+    ServerFixture server(name);
+    const char byte = 'g';
+    ASSERT_EQ(::write(go[1], &byte, 1), 1);
+    int status = 0;
+    ASSERT_EQ(::waitpid(client_pid, &status, 0), client_pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    EXPECT_EQ(server.engine()
+                  .metrics()
+                  .counter("ccov_shm_sessions_total", "")
+                  .value(),
+              0u);
+  }
+  ::close(go[1]);
+
+  // Server of another user.
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  const pid_t server_pid = ::fork();
+  ASSERT_GE(server_pid, 0);
+  if (server_pid == 0) {
+    ::close(ready[0]);
+    if (::setuid(kOther) != 0) ::_exit(2);
+    eng::Engine engine{eng::EngineOptions{}};
+    eng::ServeConfig config;
+    config.shm_name = name;
+    // Bound but never run: the client must refuse before any handshake.
+    shm::ShmServer server(engine, config);
+    const char byte = 'r';
+    if (::write(ready[1], &byte, 1) != 1) ::_exit(2);
+    for (;;) ::pause();  // until SIGKILL
+  }
+  ::close(ready[1]);
+  char byte = 0;
+  ASSERT_EQ(::read(ready[0], &byte, 1), 1);
+  ::close(ready[0]);
+  shm::ShmClient client;
+  std::string error;
+  EXPECT_FALSE(client.connect(name, &error));
+  EXPECT_NE(error.find("is run by another user"), std::string::npos) << error;
+  ::kill(server_pid, SIGKILL);
+  ::waitpid(server_pid, nullptr, 0);
+}
+
+#endif  // __linux__
 
 }  // namespace

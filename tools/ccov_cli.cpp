@@ -512,7 +512,7 @@ int cmd_serve(const ccov::util::Cli& cli) {
 }
 
 /// `ccov client --shm NAME`: the shared-memory analog of bash's
-/// /dev/tcp — pump JSONL from stdin through a served segment and print
+/// /dev/tcp — pump JSONL from stdin through a --shm server and print
 /// the response lines to stdout. Sends and receives are interleaved so
 /// a batch larger than the rings cannot deadlock on backpressure.
 int cmd_client(const ccov::util::Cli& cli) {
@@ -523,39 +523,27 @@ int cmd_client(const ccov::util::Cli& cli) {
   }
   ccov::engine::shm::ShmClient client;
   std::string error;
-  // Two distinct transient failures get retried: losing the claim race
-  // against the server's between-sessions reset (short fixed retries, as
-  // before), and the segment not existing yet — a client started moments
-  // before its server. The latter backs off exponentially (1ms doubling
-  // to 100ms) within the --connect-retry-ms budget, so scripted
-  // "server & client &" races converge without hammering shm_open.
+  // A client started moments before its server finds no listener yet:
+  // back off exponentially (1ms doubling to 100ms) within the
+  // --connect-retry-ms budget, so scripted "server & client &" races
+  // converge without hammering connect.
   const std::int64_t retry_budget_ms =
       std::max<std::int64_t>(0, cli.get_int("connect-retry-ms", 2000));
-  const auto sleep_ms = [](std::int64_t ms) {
-    const timespec ts{static_cast<time_t>(ms / 1000),
-                      static_cast<long>(ms % 1000) * 1000 * 1000};
-    ::nanosleep(&ts, nullptr);
-  };
   std::int64_t waited_ms = 0;
   std::int64_t backoff_ms = 1;
-  for (int busy_attempts = 0; !client.connect(name, &error);) {
-    if (error.find("busy (session reset)") != std::string::npos &&
-        busy_attempts < 100) {
-      ++busy_attempts;
-      sleep_ms(10);
-      continue;
+  while (!client.connect(name, &error)) {
+    if (error.rfind("no shm server", 0) != 0 ||
+        waited_ms >= retry_budget_ms) {
+      std::cerr << "client: " << error << "\n";
+      return 1;
     }
-    if (error.find("cannot open shm segment") != std::string::npos &&
-        waited_ms < retry_budget_ms) {
-      const std::int64_t delay =
-          std::min(backoff_ms, retry_budget_ms - waited_ms);
-      sleep_ms(delay);
-      waited_ms += delay;
-      backoff_ms = std::min<std::int64_t>(backoff_ms * 2, 100);
-      continue;
-    }
-    std::cerr << "client: " << error << "\n";
-    return 1;
+    const std::int64_t delay =
+        std::min(backoff_ms, retry_budget_ms - waited_ms);
+    const timespec ts{static_cast<time_t>(delay / 1000),
+                      static_cast<long>(delay % 1000) * 1000 * 1000};
+    ::nanosleep(&ts, nullptr);
+    waited_ms += delay;
+    backoff_ms = std::min<std::int64_t>(backoff_ms * 2, 100);
   }
 
   // One rx buffer for the whole session: a drain can land mid-line
