@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "ccov/covering/cover.hpp"
+#include "ccov/util/timer.hpp"
 
 namespace ccov::baselines {
 
@@ -18,6 +19,9 @@ std::uint64_t c4_covering_lower_bound(std::uint32_t n);
 
 /// Greedy covering of K_n by C4s (a trailing triangle may be needed when
 /// fewer than 4 fresh-edge vertices remain; it is counted like a cycle).
-std::vector<covering::Cycle> greedy_c4_cover(std::uint32_t n);
+/// `stop` is polled once per candidate third vertex (util::Interrupted
+/// escapes).
+std::vector<covering::Cycle> greedy_c4_cover(
+    std::uint32_t n, const util::Interrupt& stop = {});
 
 }  // namespace ccov::baselines

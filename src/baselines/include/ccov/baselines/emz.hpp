@@ -3,8 +3,9 @@
 /// The Eilam-Moran-Zaks objective (paper ref [3]): same ring survivability
 /// conditions, but minimizing the SUM OF RING SIZES (total vertices over
 /// all sub-networks) instead of the number of sub-networks. This module
-/// evaluates that objective on any cover and provides a greedy heuristic
-/// targeting it, letting the benchmarks contrast the two cost models
+/// evaluates that objective on any cover (the `emz` algorithm serves the
+/// count-greedy cover, whose C3/C4 already share the best fresh edges
+/// per vertex), letting the benchmarks contrast the two cost models
 /// (which coincide asymptotically on K_n because optimal covers use only
 /// C3/C4, but diverge on sparse instances).
 
@@ -26,10 +27,5 @@ std::uint64_t emz_objective(const covering::RingCover& cover);
 /// plus the edge-count bound (sum sizes >= #demand edges when no edge is
 /// covered twice is not valid for coverings; we use the load bound).
 std::uint64_t emz_lower_bound(std::uint32_t n);
-
-/// Greedy cover of K_n minimizing size-cost: prefers cycles maximizing
-/// fresh-edges-per-vertex (triangles and quads tie at 1.0 when fully
-/// fresh, so this behaves like the count-greedy but never pads).
-covering::RingCover emz_greedy_cover(std::uint32_t n);
 
 }  // namespace ccov::baselines

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "ccov/covering/cover.hpp"
+#include "ccov/util/timer.hpp"
 
 namespace ccov::baselines {
 
@@ -19,6 +20,8 @@ std::uint64_t triple_covering_number(std::uint32_t n);
 
 /// Greedy triangle covering of K_n (ignores routing entirely). Returned
 /// cycles generally violate the DRC — that is the point of the baseline.
-std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n);
+/// `stop` is polled once per chosen triangle (util::Interrupted escapes).
+std::vector<covering::Cycle> greedy_triple_cover(
+    std::uint32_t n, const util::Interrupt& stop = {});
 
 }  // namespace ccov::baselines

@@ -17,11 +17,14 @@ std::uint64_t c4_covering_lower_bound(std::uint32_t n) {
   return std::max(edges_bound, vertex_bound);
 }
 
-std::vector<covering::Cycle> greedy_c4_cover(std::uint32_t n) {
+std::vector<covering::Cycle> greedy_c4_cover(std::uint32_t n,
+                                             const util::Interrupt& stop) {
   using covering::Vertex;
   std::set<std::pair<Vertex, Vertex>> uncovered;
-  for (Vertex a = 0; a < n; ++a)
+  for (Vertex a = 0; a < n; ++a) {
+    stop.poll();  // at n in the thousands, filling the set takes seconds
     for (Vertex b = a + 1; b < n; ++b) uncovered.insert({a, b});
+  }
   auto has = [&](Vertex u, Vertex v) {
     return uncovered.count({std::min(u, v), std::max(u, v)}) > 0;
   };
@@ -37,6 +40,9 @@ std::vector<covering::Cycle> greedy_c4_cover(std::uint32_t n) {
     int best = -1;
     for (Vertex c = 0; c < n; ++c) {
       if (c == a || c == b) continue;
+      // Polled per c, not per cycle: one step makes O(n^2) set probes,
+      // seconds each at n in the thousands.
+      stop.poll();
       for (Vertex d = 0; d < n; ++d) {
         if (d == a || d == b || d == c) continue;
         const int fresh = 1 + (has(b, c) ? 1 : 0) + (has(c, d) ? 1 : 0) +

@@ -1,7 +1,6 @@
 #include "ccov/baselines/emz.hpp"
 
 #include "ccov/covering/bounds.hpp"
-#include "ccov/covering/greedy.hpp"
 
 namespace ccov::baselines {
 
@@ -14,15 +13,6 @@ std::uint64_t emz_objective(const covering::RingCover& cover) {
 std::uint64_t emz_lower_bound(std::uint32_t n) {
   // At least rho-lower-bound cycles are needed and each has >= 3 vertices.
   return 3 * covering::parity_lower_bound(n);
-}
-
-covering::RingCover emz_greedy_cover(std::uint32_t n) {
-  // The count-greedy already prefers high fresh-edge cycles; since C3/C4
-  // have the same best-case edges-per-vertex ratio, reuse it. Kept as a
-  // distinct entry point so the benchmark reports the EMZ objective on a
-  // heuristic tuned for it (and so future size-specific tweaks have a
-  // home).
-  return covering::greedy_cover(n);
 }
 
 }  // namespace ccov::baselines

@@ -14,14 +14,18 @@ std::uint64_t triple_covering_number(std::uint32_t n) {
   return util::ceil_div<std::uint64_t>(N * per_vertex, 3);
 }
 
-std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n) {
+std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n,
+                                                 const util::Interrupt& stop) {
   using covering::Vertex;
   std::set<std::pair<Vertex, Vertex>> uncovered;
-  for (Vertex a = 0; a < n; ++a)
+  for (Vertex a = 0; a < n; ++a) {
+    stop.poll();  // at n in the thousands, filling the set takes seconds
     for (Vertex b = a + 1; b < n; ++b) uncovered.insert({a, b});
+  }
 
   std::vector<covering::Cycle> out;
   while (!uncovered.empty()) {
+    stop.poll();
     const auto [a, b] = *uncovered.begin();
     // Pick the third vertex completing the most uncovered pairs.
     Vertex best = (a + 1) % n;

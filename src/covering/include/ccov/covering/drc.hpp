@@ -19,12 +19,7 @@ namespace ccov::covering {
 
 /// True when the cycle's vertices appear in circular order (clockwise or
 /// counterclockwise) around the ring — i.e. the DRC is satisfiable.
-bool is_circularly_ordered(const ring::Ring& r, const Cycle& c);
-
-/// Equivalent to is_circularly_ordered (named after the paper's property).
-inline bool satisfies_drc(const ring::Ring& r, const Cycle& c) {
-  return is_circularly_ordered(r, c);
-}
+bool satisfies_drc(const ring::Ring& r, const Cycle& c);
 
 /// The edge-disjoint routing (one arc per logical edge, in cycle order),
 /// or nullopt when the DRC fails. The returned arcs tile the ring exactly.

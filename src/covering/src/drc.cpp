@@ -23,7 +23,7 @@ std::uint64_t forward_gap_sum(const ring::Ring& r, const Cycle& c) {
 
 }  // namespace
 
-bool is_circularly_ordered(const ring::Ring& r, const Cycle& c) {
+bool satisfies_drc(const ring::Ring& r, const Cycle& c) {
   const std::uint64_t n = r.size();
   if (c.size() < 3) return false;
   for (Vertex v : c)

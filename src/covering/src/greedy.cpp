@@ -40,8 +40,9 @@ int fresh(const ChordBitset& uncovered, const SmallCycle& c) {
   return f;
 }
 
-/// Best C3/C4 through chord (a, b): greedily extend with the vertex adding
-/// the most uncovered chords; O(n) per step.
+/// Best C3/C4 through chord (a, b): every triangle (a, b, w) and every
+/// quad adding a second vertex z on w's side. The nested w/z loops make
+/// this O(n^2) per chosen cycle, so O(n^4) for a cover of K_n.
 SmallCycle best_cycle_through(const ring::Ring& r, Vertex a, Vertex b,
                               const ChordBitset& uncovered) {
   const std::uint32_t n = r.size();
@@ -74,12 +75,13 @@ SmallCycle best_cycle_through(const ring::Ring& r, Vertex a, Vertex b,
 }
 
 RingCover greedy_impl(std::uint32_t n, ChordBitset uncovered,
-                      std::size_t remaining) {
+                      std::size_t remaining, const util::Interrupt& stop) {
   const ring::Ring r(n);
   RingCover cover;
   cover.n = n;
   Vertex a = 0, b = 0;
   while (remaining > 0 && uncovered.first(a, b)) {
+    stop.poll();
     const SmallCycle c = best_cycle_through(r, a, b, uncovered);
     for_each_chord(c, [&](Vertex u, Vertex v) {
       if (uncovered.test(u, v)) {
@@ -94,14 +96,15 @@ RingCover greedy_impl(std::uint32_t n, ChordBitset uncovered,
 
 }  // namespace
 
-RingCover greedy_cover(std::uint32_t n) {
+RingCover greedy_cover(std::uint32_t n, const util::Interrupt& stop) {
   ChordBitset uncovered(n);
   uncovered.set_all_chords();
   return greedy_impl(n, std::move(uncovered),
-                     static_cast<std::size_t>(n) * (n - 1) / 2);
+                     static_cast<std::size_t>(n) * (n - 1) / 2, stop);
 }
 
-RingCover greedy_cover_demand(std::uint32_t n, const graph::Graph& demand) {
+RingCover greedy_cover_demand(std::uint32_t n, const graph::Graph& demand,
+                              const util::Interrupt& stop) {
   ChordBitset uncovered(n);
   for (const auto& e : demand.edges()) {
     if (e.u >= n || e.v >= n)
@@ -116,7 +119,7 @@ RingCover greedy_cover_demand(std::uint32_t n, const graph::Graph& demand) {
           "," + std::to_string(v) + ")");
     uncovered.set(u, v);
   }
-  return greedy_impl(n, std::move(uncovered), demand.num_edges());
+  return greedy_impl(n, std::move(uncovered), demand.num_edges(), stop);
 }
 
 }  // namespace ccov::covering

@@ -1,8 +1,8 @@
 #pragma once
 /// \file http.hpp
 /// HTTP/1.1 front end for the serve protocol (POSIX only, like net.hpp).
-/// An HttpServer accepts keep-alive connections (pipelined requests
-/// included) and routes:
+/// A net::Server of Transport::kHttp accepts keep-alive connections
+/// (pipelined requests included) and routes:
 ///
 ///   POST /v1/batch   JSONL request lines in the body -> the exact
 ///                    serve-protocol response lines, streamed back with
@@ -18,9 +18,8 @@
 /// bodies are answered 501) bounded by ServeConfig::max_body_bytes
 /// (413 above it); request heads are bounded by 64 KiB (431).
 /// "Expect: 100-continue" is honored. Connections beyond max_clients
-/// get a 503 and are closed. Shutdown semantics are inherited from
-/// ConnectionServer: the self-pipe wakes blocked reads, in-flight
-/// responses flush, run() returns.
+/// get a 503 and are closed. Shutdown is the Server's: the self-pipe
+/// wakes blocked reads, in-flight responses flush, run() returns.
 
 #include <cstdint>
 #include <string>
@@ -55,41 +54,5 @@ bool find_head_end(const std::string& buf, std::size_t* head_end,
 /// Content-Length; never throws.
 bool parse_head(const std::string& head, HttpRequest* req,
                 std::string* error);
-
-/// `ccov serve --http`: thread-per-connection HTTP server in front of
-/// serve_session and the metrics registry. Every connection shares
-/// `engine` (one cache, one pool, one MetricsRegistry).
-class HttpServer {
- public:
-  /// Binds and listens immediately (throws std::runtime_error on
-  /// failure) so port() is valid before run() is called.
-  HttpServer(Engine& engine, ServeConfig config);
-
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
-
-  std::uint16_t port() const { return server_.port(); }
-  const std::string& host() const { return config_.host; }
-
-  /// Accept clients until shutdown() is called; joins every connection
-  /// thread before returning. Returns 0 on a clean shutdown.
-  int run();
-
-  /// Request shutdown from any thread. Safe to call more than once.
-  void shutdown() { server_.shutdown(); }
-
-  /// See ConnectionServer::wake_fd().
-  int wake_fd() const { return server_.wake_fd(); }
-
- private:
-  void handle_connection(int client_fd, int wake_fd);
-
-  Engine& engine_;
-  ServeConfig config_;
-  ConnectionServer server_;
-  Counter& requests_;     ///< ccov_http_requests_total
-  Counter& errors_;       ///< ccov_http_errors_total (4xx/5xx answered)
-  Counter& connections_;  ///< ccov_http_connections_total
-};
 
 }  // namespace ccov::engine::net

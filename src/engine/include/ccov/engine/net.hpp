@@ -6,12 +6,11 @@
 ///  - Listener / SocketStream: a bound listening socket (TCP, or a Linux
 ///    abstract Unix name) and a ServeStream over one accepted
 ///    connection, both non-blocking with all waiting in poll;
-///  - ConnectionServer: the transport-agnostic accept loop — self-pipe
-///    shutdown, thread-per-connection, max-clients bound, periodic
-///    reaping — parameterized over what to do with an accepted socket;
-///  - ServeServer: ConnectionServer + the JSONL serve protocol, one
-///    serve_session per connection (http.hpp builds the HTTP front end
-///    and shm.hpp the shared-memory one on the same ConnectionServer).
+///  - Server: the one server of every socket transport (TCP, HTTP,
+///    shm) — self-pipe shutdown, thread-per-connection, max-clients
+///    bound, periodic reaping — handing each accepted socket to its
+///    transport's session (the HTTP one is in http.cpp, the
+///    shared-memory one in shm.cpp).
 ///
 /// Shutdown is cooperative through a self-pipe: shutdown() (or a signal
 /// handler via wake_fd()) writes one byte, the accept loop and every
@@ -26,7 +25,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <string>
 #include <thread>
@@ -42,11 +40,6 @@ namespace ccov::engine::net {
 /// one). Returns false and sets *error on malformed specs; never throws.
 bool parse_endpoint(const std::string& spec, std::string* host,
                     std::uint16_t* port, std::string* error);
-
-/// Ignore SIGPIPE process-wide so a write to a half-closed socket
-/// returns EPIPE instead of killing the process. Idempotent; called by
-/// ConnectionServer's constructor.
-void ignore_sigpipe();
 
 /// Connect a blocking Unix stream socket to the abstract address
 /// "\0" + abstract_name (see Listener). Returns the fd, or -1 with
@@ -125,29 +118,46 @@ class SocketStream final : public ServeStream {
   int shutdown_grace_ms_ = -1;
 };
 
-/// The generic accept loop every socket front end shares: binds and
-/// listens in the constructor (throws std::runtime_error on failure,
-/// so port() is valid before run()), then accepts clients and runs one
-/// callback per connection on its own thread. Connections beyond
-/// `max_clients` get the reject callback on the accepting thread and
-/// are closed. Both callbacks receive a connected socket fd (owned by
-/// the callback — wrap it in a SocketStream) and the read end of the
-/// shutdown self-pipe to pass as that stream's wake fd.
-class ConnectionServer {
+/// The socket transports of `ccov serve`; stdio (serve_loop) is the
+/// fourth and needs no server.
+enum class Transport {
+  kTcp,   ///< `--listen`: the JSONL serve protocol over TCP
+  kHttp,  ///< `--http`: POST /v1/batch, /metrics, /healthz (http.hpp)
+  kShm,   ///< `--shm`: shared-memory rings, handed out over a Unix socket
+          ///< (shm.hpp)
+};
+
+/// `ccov serve --listen | --http | --shm`: a thread-per-connection
+/// server in front of serve_session. Every connection shares `engine`
+/// (one cache, one pool, one MetricsRegistry) and runs its own session,
+/// with line ids starting at 0. Connections beyond config.max_clients
+/// get the transport's refusal — one in-band {"ok":false,...} line on
+/// TCP, a 503 with Retry-After on HTTP, a reason in place of the segment
+/// on shm — and are closed. The accept loop is shared; what one
+/// connection runs lives with its transport: the JSONL session in
+/// net.cpp, the HTTP keep-alive loop in http.cpp, the segment hand-off
+/// and ring session in shm.cpp.
+class Server {
  public:
-  using SessionFn = std::function<void(int client_fd, int wake_fd)>;
+  /// Binds and listens immediately, so port() and address() are valid
+  /// before run(): TCP and HTTP on config.host:config.port, shm on the
+  /// abstract name "ccov-shm/NAME" for config.shm_name. Throws
+  /// std::runtime_error when the address cannot be bound, a live server
+  /// holds the shm name ("already being served"), the shm name or ring
+  /// size is invalid, or shm is asked for off Linux. The transport's own
+  /// /metrics series (ccov_http_*, ccov_shm_*) are registered here, so
+  /// a scrape before the first connection shows them at zero.
+  Server(Engine& engine, ServeConfig config, Transport transport);
+  ~Server();
 
-  /// TCP on host:port.
-  ConnectionServer(const std::string& host, std::uint16_t port,
-                   std::size_t max_clients);
-  /// Unix stream socket at the abstract address "\0" + abstract_name.
-  ConnectionServer(const std::string& abstract_name, std::size_t max_clients);
-  ~ConnectionServer();
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
 
-  ConnectionServer(const ConnectionServer&) = delete;
-  ConnectionServer& operator=(const ConnectionServer&) = delete;
-
+  /// The actually bound TCP port (0 was the kernel's pick); 0 on shm.
   std::uint16_t port() const { return listener_.port(); }
+
+  /// "host:port" on TCP and HTTP, the normalized "/NAME" on shm.
+  std::string address() const;
 
   /// True once shutdown() ran or the accept loop saw the wake pipe fire
   /// (a signal handler's byte). One atomic load: sessions whose streams
@@ -157,7 +167,7 @@ class ConnectionServer {
   /// Accept clients until shutdown() is called; joins every connection
   /// thread before returning. Returns 0 on a clean shutdown, 1 when the
   /// listener broke.
-  int run(SessionFn session, SessionFn reject);
+  int run();
 
   /// Request shutdown from any thread. Safe to call more than once.
   void shutdown();
@@ -172,65 +182,52 @@ class ConnectionServer {
     std::atomic<bool> done{false};
   };
 
-  void open_wake_pipe();
+  /// Checks config.shm_name and the ring size (and Linux), normalizes
+  /// the name in place and returns the abstract address to bind.
+  static std::string shm_address(ServeConfig& config);
+
   void reap_finished(bool join_all);
 
+  /// One accepted connection `fd` (owned, closed on return), run to its
+  /// end on its own thread — or, when `busy` (max_clients reached),
+  /// turned away on the accepting thread. Dispatches to the transport's
+  /// serve_*, each defined in that transport's file.
+  void serve(int fd, bool busy);
+  void serve_tcp(int fd, bool busy);
+  void serve_http(int fd, bool busy);
+  void serve_shm(int fd, bool busy);
+
+  Engine& engine_;
+  ServeConfig config_;
+  Transport transport_;
   Listener listener_;
-  std::size_t max_clients_;
-  int wake_rd_ = -1;
+  int wake_rd_ = -1;  ///< the shutdown pipe's read end, for sessions
   int wake_wr_ = -1;
   std::atomic<bool> stopping_{false};
+
+  // The transport's series; null on the other transports.
+  Counter* http_requests_ = nullptr;     ///< ccov_http_requests_total
+  Counter* http_errors_ = nullptr;       ///< ccov_http_errors_total
+  Counter* http_connections_ = nullptr;  ///< ccov_http_connections_total
+  Counter* shm_sessions_ = nullptr;      ///< ccov_shm_sessions_total
+  Counter* shm_vanished_ = nullptr;  ///< ccov_shm_clients_vanished_total
+
   util::Mutex conns_mu_;
   std::list<Connection> conns_ CCOV_GUARDED_BY(conns_mu_);
 };
 
-/// `ccov serve --listen`: a thread-per-connection TCP server in front of
-/// serve_session. Every connection shares `engine` (one cache, one
-/// pool); each runs the full JSONL protocol independently with its own
-/// per-connection line ids starting at 0. Connections beyond
-/// config.max_clients are answered with one in-band {"ok":false,...}
-/// line and closed.
-class ServeServer {
- public:
-  /// Binds and listens immediately (throws std::runtime_error on
-  /// failure) so port() is valid before run() is called.
-  ServeServer(Engine& engine, ServeConfig config);
-
-  ServeServer(const ServeServer&) = delete;
-  ServeServer& operator=(const ServeServer&) = delete;
-
-  std::uint16_t port() const { return server_.port(); }
-  const std::string& host() const { return config_.host; }
-
-  /// Accept clients until shutdown() is called; joins every connection
-  /// thread before returning. Returns 0 on a clean shutdown.
-  int run();
-
-  /// Request shutdown from any thread. Safe to call more than once.
-  void shutdown() { server_.shutdown(); }
-
-  /// See ConnectionServer::wake_fd().
-  int wake_fd() const { return server_.wake_fd(); }
-
- private:
-  Engine& engine_;
-  ServeConfig config_;
-  ConnectionServer server_;
-};
-
 /// Install SIGINT/SIGTERM handlers that write one byte to `wake_fd`
-/// (async-signal-safe) — pass the wake_fd() of a ServeServer,
-/// HttpServer or ShmServer, or -1 when there is no wake pipe (the stdio
-/// front end, whose blocked read the signal itself interrupts thanks to
-/// the handler's missing SA_RESTART). When `cancel` is non-null the
-/// handler also fires that token (one relaxed atomic store, so still
-/// async-signal-safe), aborting every in-flight solve at its next
-/// ~4k-node poll — shutdown latency is bounded by the poll interval,
-/// not by the deepest running search. The handlers outlive the server
-/// object only as no-ops; intended for the CLI process, which serves
-/// exactly one server per run (ConnectionServer's destructor disarms
-/// the wake fd before closing it). The token must outlive the process's
-/// last signal — make it a static in the caller.
+/// (async-signal-safe) — pass the Server's wake_fd(), or -1 when there
+/// is no wake pipe (the stdio front end, whose blocked read the signal
+/// itself interrupts thanks to the handler's missing SA_RESTART). When
+/// `cancel` is non-null the handler also fires that token (one relaxed
+/// atomic store, so still async-signal-safe), aborting every in-flight
+/// solve at its next ~4k-node poll — shutdown latency is bounded by the
+/// poll interval, not by the deepest running search. The handlers
+/// outlive the server object only as no-ops; intended for the CLI
+/// process, which serves exactly one server per run (Server's
+/// destructor disarms the wake fd before closing it). The token must
+/// outlive the process's last signal — make it a static in the caller.
 void install_signal_shutdown(int wake_fd, util::CancelToken* cancel = nullptr);
 
 }  // namespace ccov::engine::net

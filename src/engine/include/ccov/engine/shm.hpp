@@ -1,9 +1,9 @@
 #pragma once
 /// \file shm.hpp
 /// Shared-memory transport for co-located clients (Linux only).
-/// `ccov serve --shm NAME` is a net::ConnectionServer on the abstract
-/// Unix socket "\0ccov-shm/NAME". Each accepted connection is handed,
-/// with SCM_RIGHTS, an anonymous memfd segment:
+/// `ccov serve --shm NAME` is a net::Server of Transport::kShm on the
+/// abstract Unix socket "\0ccov-shm/NAME". Each accepted connection is
+/// handed, with SCM_RIGHTS, an anonymous memfd segment:
 ///
 ///   [header: magic/version/capacity handshake, eof flags]
 ///   [request ring  control + data]   client writes, server reads
@@ -13,7 +13,7 @@
 /// SPSC byte rings (util::ShmByteRing): bytes are memcpy'd once per
 /// side, with no syscall in the steady state. The socket is only the
 /// liveness channel — a dead peer shows as a hang-up, polled after a
-/// ring wait timed out — and ConnectionServer bounds the sessions at
+/// ring wait timed out — and the Server bounds the sessions at
 /// --max-clients and shuts them down. Each side refuses a peer of
 /// another uid (SO_PEERCRED). A killed server leaves nothing behind:
 /// the kernel frees the name and the memfds with their holders.
@@ -58,30 +58,6 @@ std::size_t segment_bytes(std::size_t ring_capacity);
 bool normalize_shm_name(const std::string& name, std::string* out,
                         std::string* error);
 
-/// `ccov serve --shm NAME`. Binds in the constructor (throws
-/// std::runtime_error when a live server holds the name, or off Linux).
-class ShmServer {
- public:
-  ShmServer(Engine& engine, ServeConfig config);
-
-  /// The normalized name ("/name").
-  const std::string& name() const { return name_; }
-
-  /// See net::ConnectionServer: one session per connection until
-  /// shutdown, 0 on a clean one.
-  int run();
-  void shutdown() { server_.shutdown(); }
-  int wake_fd() const { return server_.wake_fd(); }
-
- private:
-  void serve_connection(int sock, Counter& sessions, Counter& vanished);
-
-  Engine& engine_;
-  ServeConfig config_;
-  std::string name_;
-  net::ConnectionServer server_;
-};
-
 /// Client side: connect, map the segment the server passes, exchange
 /// JSONL lines. One session, one user; send and receive may be driven
 /// from two threads like any SPSC pair.
@@ -108,7 +84,6 @@ class ShmClient {
   /// session is over. A caller that may fill *both* rings must use
   /// try_send/wait_send and drain responses in between instead.
   bool send(const char* data, std::size_t n);
-  bool send_line(const std::string& line);
 
   /// Nonblocking: the number of bytes taken (0 on a full ring).
   std::size_t try_send(const char* data, std::size_t n);
@@ -144,7 +119,6 @@ class ShmClient {
   util::ShmByteRing request_ring_;
   util::ShmByteRing response_ring_;
   std::string rx_;  ///< bytes drained but not yet returned as lines
-  std::string tx_;  ///< reused send_line staging buffer (line + '\n')
 };
 
 }  // namespace ccov::engine::shm

@@ -148,16 +148,20 @@ CoverResponse Engine::compute(const CoverRequest& req, const Algorithm* algo,
       cancellations_->add(1);
     else if (out.timed_out)
       timed_out_->add(1);
-    // Graceful degradation: a deadline-expired exact solve is answered
-    // with the greedy cover instead of a bare timeout. Shutdown
-    // cancellation is exempt — its whole point is to finish fast.
+    // Graceful degradation: a deadline-expired exact solve (solve,
+    // solve-parallel) is answered with the greedy cover instead of a
+    // bare timeout. That greedy run ignores the deadline that just
+    // expired but still stops for shutdown, which exempts cancellation
+    // altogether — its whole point is to finish fast.
     if (opts_.fallback_greedy && out.timed_out && !out.cancelled &&
-        !resp.found) {
-      AlgorithmOutcome fb = find_algorithm("greedy")->run(*eff);
+        !resp.found && algo->name.starts_with("solve")) {
+      CoverRequest undeadlined = *eff;
+      undeadlined.deadline = {};
+      AlgorithmOutcome fb = find_algorithm("greedy")->run(undeadlined);
       resp.cover = std::move(fb.cover);
-      resp.found = fb.found;
-      resp.degraded = true;
-      degraded_->add(1);
+      resp.found = resp.degraded = fb.found;
+      if (fb.found) degraded_->add(1);
+      if (fb.cancelled) cancellations_->add(1);
     }
   } catch (const std::exception& e) {
     resp.error = e.what();

@@ -275,37 +275,19 @@ const char kEndpointsBody[] =
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// HttpServer
+// Server::serve_http: one keep-alive connection
 // ---------------------------------------------------------------------------
 
-HttpServer::HttpServer(Engine& engine, ServeConfig config)
-    : engine_(engine),
-      config_(std::move(config)),
-      server_(config_.host, config_.port, config_.max_clients),
-      requests_(engine.metrics().counter(
-          "ccov_http_requests_total",
-          "HTTP requests parsed by the HTTP front end")),
-      errors_(engine.metrics().counter(
-          "ccov_http_errors_total",
-          "HTTP requests answered with a 4xx or 5xx status")),
-      connections_(engine.metrics().counter("ccov_http_connections_total",
-                                            "HTTP connections accepted")) {}
-
-int HttpServer::run() {
-  return server_.run(
-      [this](int fd, int wake_fd) { handle_connection(fd, wake_fd); },
-      [this](int fd, int wake_fd) {
-        SocketStream sock(fd, wake_fd);
-        errors_.add(1);
-        write_response(sock, 503, "text/plain; charset=utf-8",
-                       "server busy: too many clients\n",
-                       /*keep_alive=*/false, {{"Retry-After", "1"}});
-      });
-}
-
-void HttpServer::handle_connection(int client_fd, int wake_fd) {
-  connections_.add(1);
-  SocketStream sock(client_fd, wake_fd);
+void Server::serve_http(int fd, bool busy) {
+  SocketStream sock(fd, wake_rd_);
+  if (busy) {
+    http_errors_->add(1);
+    write_response(sock, 503, "text/plain; charset=utf-8",
+                   "server busy: too many clients\n",
+                   /*keep_alive=*/false, {{"Retry-After", "1"}});
+    return;
+  }
+  http_connections_->add(1);
   std::string buf;  // unconsumed bytes carried between pipelined requests
   for (;;) {
     std::size_t head_end = 0, body_start = 0;
@@ -313,7 +295,7 @@ void HttpServer::handle_connection(int client_fd, int wake_fd) {
         read_head(sock, &buf, kMaxHeaderBytes, &head_end, &body_start);
     if (hr == HeadRead::kEof || hr == HeadRead::kError) return;
     if (hr == HeadRead::kTooLarge) {
-      errors_.add(1);
+      http_errors_->add(1);
       write_response(sock, 431, "text/plain; charset=utf-8",
                      "request head exceeds " +
                          std::to_string(kMaxHeaderBytes) + " bytes\n",
@@ -321,7 +303,7 @@ void HttpServer::handle_connection(int client_fd, int wake_fd) {
       return;
     }
     if (hr == HeadRead::kPartial) {
-      errors_.add(1);
+      http_errors_->add(1);
       write_response(sock, 400, "text/plain; charset=utf-8",
                      "truncated request head\n", /*keep_alive=*/false);
       return;
@@ -329,23 +311,23 @@ void HttpServer::handle_connection(int client_fd, int wake_fd) {
     HttpRequest req;
     std::string error;
     if (!parse_head(buf.substr(0, head_end), &req, &error)) {
-      errors_.add(1);
+      http_errors_->add(1);
       write_response(sock, 400, "text/plain; charset=utf-8", error + "\n",
                      /*keep_alive=*/false);
       return;
     }
     buf.erase(0, body_start);
-    requests_.add(1);
+    http_requests_->add(1);
 
     if (req.version != "HTTP/1.1" && req.version != "HTTP/1.0") {
-      errors_.add(1);
+      http_errors_->add(1);
       write_response(sock, 505, "text/plain; charset=utf-8",
                      "only HTTP/1.0 and HTTP/1.1 are supported\n",
                      /*keep_alive=*/false);
       return;
     }
     if (req.chunked) {
-      errors_.add(1);
+      http_errors_->add(1);
       write_response(sock, 501, "text/plain; charset=utf-8",
                      "chunked request bodies are not supported; "
                      "send Content-Length\n",
@@ -355,7 +337,7 @@ void HttpServer::handle_connection(int client_fd, int wake_fd) {
 
     if (req.method == "POST" && req.target == "/v1/batch") {
       if (!req.has_content_length) {
-        errors_.add(1);
+        http_errors_->add(1);
         write_response(sock, 411, "text/plain; charset=utf-8",
                        "POST /v1/batch requires Content-Length\n",
                        /*keep_alive=*/false);
@@ -364,7 +346,7 @@ void HttpServer::handle_connection(int client_fd, int wake_fd) {
       if (req.content_length > config_.max_body_bytes) {
         // Refused before reading one body byte; the unread body makes
         // the connection unusable, so it closes.
-        errors_.add(1);
+        http_errors_->add(1);
         write_response(sock, 413, "text/plain; charset=utf-8",
                        "body exceeds " +
                            std::to_string(config_.max_body_bytes) +
@@ -415,7 +397,7 @@ void HttpServer::handle_connection(int client_fd, int wake_fd) {
         return;
     } else if (req.target == "/v1/batch" || req.target == "/metrics" ||
                req.target == "/healthz") {
-      errors_.add(1);
+      http_errors_->add(1);
       const std::string allow = req.target == "/v1/batch" ? "POST" : "GET";
       if (!write_response(sock, 405, "text/plain; charset=utf-8",
                           "method not allowed; use " + allow + " " +
@@ -423,13 +405,13 @@ void HttpServer::handle_connection(int client_fd, int wake_fd) {
                           req.keep_alive, {{"Allow", allow}}))
         return;
     } else if (req.method != "GET" && req.method != "POST") {
-      errors_.add(1);
+      http_errors_->add(1);
       if (!write_response(sock, 501, "text/plain; charset=utf-8",
                           "method '" + req.method + "' not implemented\n",
                           req.keep_alive))
         return;
     } else {
-      errors_.add(1);
+      http_errors_->add(1);
       if (!write_response(sock, 404, "text/plain; charset=utf-8",
                           kEndpointsBody, req.keep_alive))
         return;

@@ -85,8 +85,6 @@ bool parse_endpoint(const std::string& spec, std::string* host,
   return true;
 }
 
-void ignore_sigpipe() { std::signal(SIGPIPE, SIG_IGN); }
-
 // ---------------------------------------------------------------------------
 // Listener
 // ---------------------------------------------------------------------------
@@ -340,7 +338,7 @@ bool SocketStream::write_all(const char* data, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// ConnectionServer
+// Server
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -368,27 +366,38 @@ void on_shutdown_signal(int) {
 
 }  // namespace
 
-ConnectionServer::ConnectionServer(const std::string& host, std::uint16_t port,
-                                   std::size_t max_clients)
-    : listener_(host, port), max_clients_(max_clients) {
-  open_wake_pipe();
-}
-
-ConnectionServer::ConnectionServer(const std::string& abstract_name,
-                                   std::size_t max_clients)
-    : listener_(abstract_name), max_clients_(max_clients) {
-  open_wake_pipe();
-}
-
-void ConnectionServer::open_wake_pipe() {
-  ignore_sigpipe();
+Server::Server(Engine& engine, ServeConfig config, Transport transport)
+    : engine_(engine),
+      config_(std::move(config)),
+      transport_(transport),
+      listener_(transport == Transport::kShm
+                    ? Listener(shm_address(config_))
+                    : Listener(config_.host, config_.port)) {
+  // A write to a half-closed socket must return EPIPE, not kill the
+  // process (writes use MSG_NOSIGNAL as well).
+  std::signal(SIGPIPE, SIG_IGN);
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) throw_errno("pipe");
   wake_rd_ = pipe_fds[0];
   wake_wr_ = pipe_fds[1];
+  MetricsRegistry& m = engine_.metrics();
+  if (transport_ == Transport::kHttp) {
+    http_requests_ = &m.counter("ccov_http_requests_total",
+                                "HTTP requests parsed by the HTTP front end");
+    http_errors_ = &m.counter("ccov_http_errors_total",
+                              "HTTP requests answered with a 4xx or 5xx status");
+    http_connections_ = &m.counter("ccov_http_connections_total",
+                                   "HTTP connections accepted");
+  } else if (transport_ == Transport::kShm) {
+    shm_sessions_ = &m.counter("ccov_shm_sessions_total",
+                               "shm client sessions served");
+    shm_vanished_ = &m.counter(
+        "ccov_shm_clients_vanished_total",
+        "shm sessions torn down because the client process died");
+  }
 }
 
-ConnectionServer::~ConnectionServer() {
+Server::~Server() {
   shutdown();
   reap_finished(/*join_all=*/true);
   // Disarm any installed signal handler before the fd goes away.
@@ -399,7 +408,12 @@ ConnectionServer::~ConnectionServer() {
   if (wake_wr_ >= 0) ::close(wake_wr_);
 }
 
-void ConnectionServer::shutdown() {
+std::string Server::address() const {
+  if (transport_ == Transport::kShm) return config_.shm_name;
+  return config_.host + ":" + std::to_string(port());
+}
+
+void Server::shutdown() {
   stopping_.store(true, std::memory_order_release);
   if (wake_wr_ >= 0) {
     const char byte = 's';
@@ -407,7 +421,7 @@ void ConnectionServer::shutdown() {
   }
 }
 
-void ConnectionServer::reap_finished(bool join_all) {
+void Server::reap_finished(bool join_all) {
   util::MutexLock lk(conns_mu_);
   for (auto it = conns_.begin(); it != conns_.end();) {
     if (join_all || it->done.load(std::memory_order_acquire)) {
@@ -419,7 +433,15 @@ void ConnectionServer::reap_finished(bool join_all) {
   }
 }
 
-int ConnectionServer::run(SessionFn session, SessionFn reject) {
+void Server::serve(int fd, bool busy) {
+  switch (transport_) {
+    case Transport::kTcp: return serve_tcp(fd, busy);
+    case Transport::kHttp: return serve_http(fd, busy);
+    case Transport::kShm: return serve_shm(fd, busy);
+  }
+}
+
+int Server::run() {
   int rc = 0;
   for (;;) {
     // The 1 s tick bounds how long an idle server keeps finished
@@ -447,17 +469,15 @@ int ConnectionServer::run(SessionFn session, SessionFn reject) {
       util::MutexLock lk(conns_mu_);
       active = conns_.size();
     }
-    if (active >= max_clients_) {
-      // Rejected inline on the accepting thread; the callback owns the
-      // fd and must close it (a SocketStream destructor does).
-      reject(client, wake_rd_);
+    if (active >= config_.max_clients) {
+      serve(client, /*busy=*/true);  // inline on the accepting thread
       continue;
     }
     util::MutexLock lk(conns_mu_);
     conns_.emplace_back();
     Connection& conn = conns_.back();
-    conn.thread = std::thread([this, client, &conn, &session] {
-      session(client, wake_rd_);
+    conn.thread = std::thread([this, client, &conn] {
+      serve(client, /*busy=*/false);
       conn.done.store(true, std::memory_order_release);
     });
   }
@@ -471,27 +491,15 @@ int ConnectionServer::run(SessionFn session, SessionFn reject) {
   return rc;
 }
 
-// ---------------------------------------------------------------------------
-// ServeServer
-// ---------------------------------------------------------------------------
-
-ServeServer::ServeServer(Engine& engine, ServeConfig config)
-    : engine_(engine),
-      config_(std::move(config)),
-      server_(config_.host, config_.port, config_.max_clients) {}
-
-int ServeServer::run() {
-  return server_.run(
-      [this](int client, int wake_fd) {
-        SocketStream stream(client, wake_fd);
-        serve_session(stream, engine_, config_);
-      },
-      [](int client, int wake_fd) {
-        SocketStream stream(client, wake_fd);
-        const std::string line =
-            serve_error_line(0, "server busy: too many clients") + "\n";
-        stream.write_all(line.data(), line.size());
-      });
+void Server::serve_tcp(int fd, bool busy) {
+  SocketStream stream(fd, wake_rd_);
+  if (busy) {
+    const std::string line =
+        serve_error_line(0, "server busy: too many clients") + "\n";
+    stream.write_all(line.data(), line.size());
+    return;
+  }
+  serve_session(stream, engine_, config_);
 }
 
 void install_signal_shutdown(int wake_fd, util::CancelToken* cancel) {

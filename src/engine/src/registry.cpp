@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "ccov/baselines/c4_cover.hpp"
-#include "ccov/baselines/emz.hpp"
 #include "ccov/baselines/triple_cover.hpp"
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/construct.hpp"
@@ -42,6 +41,26 @@ covering::SolverOptions runtime_solver_options(const CoverRequest& req) {
   return opts;
 }
 
+/// The heuristics' stop conditions, polled once per chosen cycle.
+util::Interrupt interrupt_of(const CoverRequest& req) {
+  return {req.deadline, req.cancel};
+}
+
+/// Run a heuristic that polls interrupt_of(req). When it stops early,
+/// the outcome is a timed-out or cancelled search's: nothing found, and
+/// the engine neither caches it nor falls back.
+template <typename Run>
+AlgorithmOutcome until_interrupted(Run run) {
+  try {
+    return AlgorithmOutcome{run()};
+  } catch (const util::Interrupted& stop) {
+    AlgorithmOutcome out{{}, /*found=*/false};
+    out.timed_out = !stop.cancelled;
+    out.cancelled = stop.cancelled;
+    return out;
+  }
+}
+
 AlgorithmOutcome outcome_from(covering::SolverResult res) {
   AlgorithmOutcome out{std::move(res.cover), res.found, res.exhausted,
                        res.nodes};
@@ -52,8 +71,10 @@ AlgorithmOutcome outcome_from(covering::SolverResult res) {
 
 AlgorithmOutcome run_c4(const CoverRequest& req) {
   require_all_to_all(req, "c4");
-  return AlgorithmOutcome{
-      covering::RingCover{req.n, baselines::greedy_c4_cover(req.n)}};
+  return until_interrupted([&] {
+    return covering::RingCover{
+        req.n, baselines::greedy_c4_cover(req.n, interrupt_of(req))};
+  });
 }
 
 AlgorithmOutcome run_construct(const CoverRequest& req) {
@@ -63,16 +84,19 @@ AlgorithmOutcome run_construct(const CoverRequest& req) {
 
 AlgorithmOutcome run_emz(const CoverRequest& req) {
   require_all_to_all(req, "emz");
-  return AlgorithmOutcome{baselines::emz_greedy_cover(req.n)};
+  return until_interrupted(
+      [&] { return covering::greedy_cover(req.n, interrupt_of(req)); });
 }
 
 AlgorithmOutcome run_greedy(const CoverRequest& req) {
   if (req.lambda != 1)
     throw std::invalid_argument("greedy: lambda != 1 is not supported");
-  if (req.demand.empty())
-    return AlgorithmOutcome{covering::greedy_cover(req.n)};
-  return AlgorithmOutcome{covering::greedy_cover_demand(
-      req.n, demand_graph(req.n, req.demand))};
+  return until_interrupted([&] {
+    if (req.demand.empty())
+      return covering::greedy_cover(req.n, interrupt_of(req));
+    return covering::greedy_cover_demand(
+        req.n, demand_graph(req.n, req.demand), interrupt_of(req));
+  });
 }
 
 AlgorithmOutcome run_lambda(const CoverRequest& req) {
@@ -101,8 +125,10 @@ AlgorithmOutcome run_solve_parallel(const CoverRequest& req) {
 
 AlgorithmOutcome run_triple(const CoverRequest& req) {
   require_all_to_all(req, "triple");
-  return AlgorithmOutcome{
-      covering::RingCover{req.n, baselines::greedy_triple_cover(req.n)}};
+  return until_interrupted([&] {
+    return covering::RingCover{
+        req.n, baselines::greedy_triple_cover(req.n, interrupt_of(req))};
+  });
 }
 
 constexpr bool sorted_and_unique(const std::array<Algorithm, 8>& table) {

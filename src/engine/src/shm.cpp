@@ -75,14 +75,14 @@ void* new_segment(std::size_t size, int* fd) {
   return mem;
 }
 #else
-// Never called: the ShmServer constructor and connect() refuse first.
+// Never called: Server::shm_address and connect() refuse first.
 constexpr int kRecvFlags = 0;
 bool same_user(int) { return false; }
 void* new_segment(std::size_t, int*) { return MAP_FAILED; }
 #endif
 
 /// Turn a connection away with a reason instead of a segment. Every
-/// send here is on a ConnectionServer, which ignores SIGPIPE.
+/// send here is on a net::Server, which ignores SIGPIPE.
 void refuse(int sock, const char* why) {
   ::send(sock, why, std::strlen(why), 0);
   ::close(sock);
@@ -132,29 +132,14 @@ int recv_fd(int sock, std::string* why) {
   return fd;
 }
 
-/// The normalized name of a servable config; throws off Linux, or on a
-/// bad name or ring capacity.
-std::string checked_name(const ServeConfig& config) {
-#ifndef __linux__
-  throw std::runtime_error(kNeedsLinux);
-#endif
-  std::string name, err;
-  if (!normalize_shm_name(config.shm_name, &name, &err))
-    throw std::runtime_error("shm: " + err);
-  if (!util::ShmByteRing::valid_capacity(config.shm_ring_bytes))
-    throw std::runtime_error(
-        "shm: ring capacity must be a power of two >= 64 bytes");
-  return name;
-}
-
 /// The server's ServeStream: reads the request ring, writes the
 /// response ring (one SPSC role each, so a reader and a writer thread
 /// may run at once).
-class ShmServerStream final : public ServeStream {
+class ShmSessionStream final : public ServeStream {
  public:
-  ShmServerStream(ShmSegmentHeader* header, util::ShmByteRing request_ring,
-                  util::ShmByteRing response_ring, int sock,
-                  const net::ConnectionServer& server)
+  ShmSessionStream(ShmSegmentHeader* header, util::ShmByteRing request_ring,
+                   util::ShmByteRing response_ring, int sock,
+                   const net::Server& server)
       : header_(header),
         req_(request_ring),
         resp_(response_ring),
@@ -210,7 +195,7 @@ class ShmServerStream final : public ServeStream {
   util::ShmByteRing req_;
   util::ShmByteRing resp_;
   int sock_;
-  const net::ConnectionServer& server_;
+  const net::Server& server_;
 };
 
 }  // namespace
@@ -231,57 +216,6 @@ bool normalize_shm_name(const std::string& name, std::string* out,
   if (!error->empty()) return false;
   *out = "/" + body;
   return true;
-}
-
-ShmServer::ShmServer(Engine& engine, ServeConfig config)
-    : engine_(engine),
-      config_(std::move(config)),
-      name_(checked_name(config_)),
-      server_(kAddressPrefix + name_, config_.max_clients) {}
-
-int ShmServer::run() {
-  Counter& sessions = engine_.metrics().counter(
-      "ccov_shm_sessions_total", "shm client sessions served");
-  Counter& vanished = engine_.metrics().counter(
-      "ccov_shm_clients_vanished_total",
-      "shm sessions torn down because the client process died");
-  return server_.run(
-      [&](int sock, int) { serve_connection(sock, sessions, vanished); },
-      [](int sock, int) { refuse(sock, "server busy: too many clients"); });
-}
-
-void ShmServer::serve_connection(int sock, Counter& sessions,
-                                 Counter& vanished) {
-  if (!same_user(sock)) return refuse(sock, "client runs as another user");
-  const std::size_t cap = config_.shm_ring_bytes;
-  const std::size_t size = segment_bytes(cap);
-  int memfd = -1;
-  void* mem = new_segment(size, &memfd);
-  if (mem == MAP_FAILED) return refuse(sock, "cannot create a segment");
-  // A fresh memfd reads as zeros: both eof flags start clear.
-  auto* header = new (mem) ShmSegmentHeader();
-  header->version = kShmVersion;
-  header->ring_capacity = static_cast<std::uint32_t>(cap);
-  auto request_ring = util::ShmByteRing::init(ring_region(mem, cap, 0), cap);
-  auto response_ring = util::ShmByteRing::init(ring_region(mem, cap, 1), cap);
-  header->magic.store(kShmMagic, std::memory_order_release);
-
-  const bool sent = send_fd(sock, memfd);
-  ::close(memfd);  // the mappings keep the segment alive
-  if (sent) {
-    sessions.add(1);
-    ShmServerStream stream(header, request_ring, response_ring, sock, server_);
-    serve_session(stream, engine_, config_);
-    // Every owed response byte is in the ring; tell the client the
-    // stream is complete before hanging up.
-    header->server_eof.store(1, std::memory_order_release);
-    response_ring.wake_all();
-    if (header->client_eof.load(std::memory_order_acquire) == 0 &&
-        hung_up(sock))
-      vanished.add(1);
-  }
-  ::munmap(mem, size);
-  ::close(sock);
 }
 
 bool ShmClient::connect(const std::string& name, std::string* error) {
@@ -371,13 +305,6 @@ void ShmClient::wait_send(int timeout_ms) {
   if (connected()) request_ring_.wait_writable(timeout_ms);
 }
 
-bool ShmClient::send_line(const std::string& line) {
-  // One ring write per request: one publish, at most one futex wake.
-  tx_.assign(line);
-  tx_.push_back('\n');
-  return send(tx_.data(), tx_.size());
-}
-
 void ShmClient::finish() {
   if (!connected()) return;
   header_->client_eof.store(1, std::memory_order_release);
@@ -447,3 +374,59 @@ void ShmClient::close() {
 }
 
 }  // namespace ccov::engine::shm
+
+// ---------------------------------------------------------------------------
+// The server's side: net::Server's shm address and per-connection session
+// ---------------------------------------------------------------------------
+
+namespace ccov::engine::net {
+
+std::string Server::shm_address(ServeConfig& config) {
+#ifndef __linux__
+  throw std::runtime_error(shm::kNeedsLinux);
+#endif
+  std::string err;
+  if (!shm::normalize_shm_name(config.shm_name, &config.shm_name, &err))
+    throw std::runtime_error("shm: " + err);
+  if (!util::ShmByteRing::valid_capacity(config.shm_ring_bytes))
+    throw std::runtime_error(
+        "shm: ring capacity must be a power of two >= 64 bytes");
+  return shm::kAddressPrefix + config.shm_name;
+}
+
+void Server::serve_shm(int sock, bool busy) {
+  using namespace shm;
+  if (busy) return refuse(sock, "server busy: too many clients");
+  if (!same_user(sock)) return refuse(sock, "client runs as another user");
+  const std::size_t cap = config_.shm_ring_bytes;
+  const std::size_t size = segment_bytes(cap);
+  int memfd = -1;
+  void* mem = new_segment(size, &memfd);
+  if (mem == MAP_FAILED) return refuse(sock, "cannot create a segment");
+  // A fresh memfd reads as zeros: both eof flags start clear.
+  auto* header = new (mem) ShmSegmentHeader();
+  header->version = kShmVersion;
+  header->ring_capacity = static_cast<std::uint32_t>(cap);
+  auto request_ring = util::ShmByteRing::init(ring_region(mem, cap, 0), cap);
+  auto response_ring = util::ShmByteRing::init(ring_region(mem, cap, 1), cap);
+  header->magic.store(kShmMagic, std::memory_order_release);
+
+  const bool sent = send_fd(sock, memfd);
+  ::close(memfd);  // the mappings keep the segment alive
+  if (sent) {
+    shm_sessions_->add(1);
+    ShmSessionStream stream(header, request_ring, response_ring, sock, *this);
+    serve_session(stream, engine_, config_);
+    // Every owed response byte is in the ring; tell the client the
+    // stream is complete before hanging up.
+    header->server_eof.store(1, std::memory_order_release);
+    response_ring.wake_all();
+    if (header->client_eof.load(std::memory_order_acquire) == 0 &&
+        hung_up(sock))
+      shm_vanished_->add(1);
+  }
+  ::munmap(mem, size);
+  ::close(sock);
+}
+
+}  // namespace ccov::engine::net

@@ -2,13 +2,15 @@
 /// \file timer.hpp
 /// Monotonic wall-clock stopwatch for coarse measurements in table harnesses
 /// (google-benchmark is used for the statistically careful measurements),
-/// plus the two cooperative-interruption primitives the serve stack
-/// threads into the solver hot loop: a steady_clock Deadline and an
-/// atomic CancelToken.
+/// plus the cooperative-interruption primitives the serve stack threads
+/// into the solver hot loop and the heuristics' step loops: a
+/// steady_clock Deadline, an atomic CancelToken, and the Interrupt that
+/// polls both between steps.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 
 namespace ccov::util {
 
@@ -53,13 +55,6 @@ class Deadline {
     return d;
   }
 
-  static Deadline at(clock::time_point tp) {
-    Deadline d;
-    d.at_ = tp;
-    d.set_ = true;
-    return d;
-  }
-
   bool set() const { return set_; }
 
   /// True when a set deadline has passed; an unset deadline never
@@ -101,6 +96,27 @@ class CancelToken {
 
  private:
   std::atomic<bool> cancelled_{false};
+};
+
+/// Thrown by Interrupt::poll: the work stopped before it finished.
+struct Interrupted : std::exception {
+  explicit Interrupted(bool by_cancel) : cancelled(by_cancel) {}
+  const char* what() const noexcept override { return "interrupted"; }
+  bool cancelled;  ///< the token fired; otherwise the deadline passed
+};
+
+/// When a step-wise loop (the greedy heuristics) must give up: a
+/// deadline, a cancel token, or both. Default-constructed never fires,
+/// and then a poll costs two branches and no clock read.
+struct Interrupt {
+  Deadline deadline;
+  const CancelToken* cancel = nullptr;
+
+  /// Throws Interrupted once the token fired or the deadline passed.
+  void poll() const {
+    if (cancel != nullptr && cancel->cancelled()) throw Interrupted(true);
+    if (deadline.expired()) throw Interrupted(false);
+  }
 };
 
 }  // namespace ccov::util

@@ -5,6 +5,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "ccov/util/json.hpp"
+
 namespace ccov::util {
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
@@ -36,31 +38,6 @@ std::string csv_cell(const std::string& s) {
   return out;
 }
 
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        // RFC 8259: every control character below 0x20 must be escaped.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 }  // namespace
 
 void Table::write_csv(std::ostream& os) const {
@@ -81,7 +58,7 @@ void Table::write_json(std::ostream& os) const {
     os << "  {";
     for (std::size_t c = 0; c < headers_.size(); ++c) {
       if (c) os << ", ";
-      os << json_string(headers_[c]) << ": " << json_string(rows_[r][c]);
+      os << json::escaped(headers_[c]) << ": " << json::escaped(rows_[r][c]);
     }
     os << (r + 1 < rows_.size() ? "},\n" : "}\n");
   }

@@ -410,6 +410,63 @@ TEST(Deadline, ShutdownCancellationSkipsTheGreedyFallback) {
   EXPECT_FALSE(resp.found);
 }
 
+TEST(Deadline, HeuristicsStopAtTheRequestDeadline) {
+  // greedy at n=400 runs for seconds; a 50 ms deadline must stop it at
+  // its next chosen cycle. --fallback greedy degrades exact solves
+  // only, so the answer stays a bare, uncached timeout.
+  eng::EngineOptions opts;
+  opts.fallback_greedy = true;
+  eng::Engine engine(opts);
+  eng::CoverRequest warm;
+  warm.algorithm = "construct";
+  warm.n = 9;
+  ASSERT_TRUE(engine.run(warm).ok);
+  const std::size_t cached = engine.cache().size();
+  eng::CoverRequest req;
+  req.algorithm = "greedy";
+  req.n = 400;
+  req.deadline_ms = 50;
+  const auto t0 = std::chrono::steady_clock::now();
+  const eng::CoverResponse resp = engine.run(req);
+  EXPECT_LT(elapsed_ms_since(t0), 1000.0);
+  EXPECT_TRUE(resp.ok) << resp.error;
+  EXPECT_TRUE(resp.timed_out);
+  EXPECT_FALSE(resp.found);
+  EXPECT_FALSE(resp.degraded);
+  EXPECT_EQ(engine.cache().size(), cached);
+  EXPECT_EQ(engine.metrics().value("ccov_requests_timed_out_total"), 1);
+  EXPECT_EQ(engine.metrics().value("ccov_requests_degraded_total"), 0);
+}
+
+TEST(Deadline, CancelTokenStopsTheHeuristics) {
+  // c4 at n=400 and triple at n=700 each run for many seconds; the
+  // shutdown token must stop them at their next poll.
+  const std::pair<const char*, std::uint32_t> cases[] = {{"c4", 400},
+                                                         {"triple", 700}};
+  for (const auto& [algo, n] : cases) {
+    eng::Engine engine;
+    CancelToken tok;
+    eng::CoverRequest req;
+    req.algorithm = algo;
+    req.n = n;
+    req.cancel = &tok;
+    std::thread killer([&tok] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      tok.cancel();
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    const eng::CoverResponse resp = engine.run(req);
+    killer.join();
+    EXPECT_LT(elapsed_ms_since(t0), 1000.0) << algo;
+    EXPECT_TRUE(resp.ok) << algo << ": " << resp.error;
+    EXPECT_TRUE(resp.timed_out) << algo;
+    EXPECT_FALSE(resp.found) << algo;
+    EXPECT_EQ(engine.cache().size(), 0u) << algo;
+    EXPECT_EQ(engine.metrics().value("ccov_solver_cancellations_total"), 1)
+        << algo;
+  }
+}
+
 TEST(Deadline, ServeAppliesTheDefaultDeadlineAndRendersFlagsOnlyWhenRaised) {
   eng::Engine engine;
   eng::ServeConfig config;
@@ -651,7 +708,7 @@ TEST(Chaos, TcpSchedulesNeverKillTheServer) {
   const std::vector<std::string> points = {"net_read", "net_write",
                                            "cache_insert", "pipeline_submit"};
   eng::Engine engine;
-  net::ServeServer server(engine, {});
+  net::Server server(engine, {}, net::Transport::kTcp);
   std::thread runner([&server] { server.run(); });
   for (int seed = 100; seed < 105; ++seed) {
     std::mt19937 rng(static_cast<std::mt19937::result_type>(seed));
@@ -691,7 +748,7 @@ TEST(Chaos, ShmSchedulesNeverKillTheServer) {
   eng::ServeConfig config;
   config.shm_name = name;
   config.shm_ring_bytes = 1 << 16;
-  shm::ShmServer server(engine, config);
+  net::Server server(engine, config, net::Transport::kShm);
   std::thread runner([&server] { server.run(); });
   const std::vector<std::string> points = {"shm_read", "shm_write",
                                            "futex_wait", "cache_insert"};
@@ -710,7 +767,9 @@ TEST(Chaos, ShmSchedulesNeverKillTheServer) {
       std::istringstream lines(kChaosWorkload);
       std::string line;
       while (std::getline(lines, line)) {
-        if (!client.send_line(line)) break;  // session died mid-fault: fine
+        line += '\n';
+        // A session that died mid-fault refuses the rest: fine.
+        if (!client.send(line.data(), line.size())) break;
       }
       client.finish();
       std::string rx, got;
@@ -730,7 +789,8 @@ TEST(Chaos, ShmSchedulesNeverKillTheServer) {
     }
     ASSERT_TRUE(connected) << "post-chaos reconnect, seed " << seed << ": "
                            << error;
-    ASSERT_TRUE(survivor.send_line("{\"algo\":\"construct\",\"n\":9}"));
+    const std::string request = "{\"algo\":\"construct\",\"n\":9}\n";
+    ASSERT_TRUE(survivor.send(request.data(), request.size()));
     survivor.finish();
     std::string line;
     ASSERT_TRUE(survivor.read_line(&line)) << "seed " << seed;

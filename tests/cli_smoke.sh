@@ -407,6 +407,20 @@ DD_OUT=$(echo '{"algo":"solve","n":10}' \
   | "${CCOV}" serve --default-deadline-ms 60 2>/dev/null)
 echo "${DD_OUT}" | grep -q '"timed_out":true' \
   || fail "--default-deadline-ms should bound requests without one: ${DD_OUT}"
+# The heuristics poll the deadline too, once per chosen cycle: greedy at
+# n=700 runs for tens of seconds without one. --fallback greedy degrades
+# exact solves only, so this timeout stays bare.
+T0=$(date +%s%N)
+GR_OUT=$(echo '{"algo":"greedy","n":700}' \
+  | "${CCOV}" serve --default-deadline-ms 500 --fallback greedy 2>/dev/null)
+ELAPSED_MS=$(( ( $(date +%s%N) - T0 ) / 1000000 ))
+echo "${GR_OUT}" | grep -q '"timed_out":true' \
+  || fail "greedy past its deadline should answer timed_out:true: ${GR_OUT}"
+if echo "${GR_OUT}" | grep -q '"degraded"'; then
+  fail "--fallback greedy must not degrade a timed-out greedy: ${GR_OUT}"
+fi
+[ "${ELAPSED_MS}" -lt 2000 ] \
+  || fail "greedy with a 500ms deadline answered after ${ELAPSED_MS}ms"
 DL_SNAP="${TMPDIR_SMOKE}/deadline_store.bin"
 echo "${DL_REQ}" | "${CCOV}" serve --cache-file "${DL_SNAP}" >/dev/null 2>&1 \
   || fail "serve with an expired deadline should still exit 0"

@@ -156,11 +156,11 @@ class HttpClient {
   std::string buffer_;
 };
 
-/// A running HttpServer on an ephemeral loopback port.
+/// A running HTTP Server on an ephemeral loopback port.
 class HttpHarness {
  public:
   explicit HttpHarness(eng::ServeConfig config = {})
-      : server_(engine_, std::move(config)),
+      : server_(engine_, std::move(config), net::Transport::kHttp),
         runner_([this] { rc_ = server_.run(); }) {}
 
   ~HttpHarness() { stop(); }
@@ -178,7 +178,7 @@ class HttpHarness {
 
  private:
   eng::Engine engine_;
-  net::HttpServer server_;
+  net::Server server_;
   int rc_ = -1;
   std::thread runner_;
 };
@@ -202,11 +202,11 @@ const char kWorkload[] =
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// The tentpole contract: HTTP payload == stdio payload, byte for byte
+// POST /v1/batch framing (the payload's byte identity with stdio is
+// Net/ServerParity's, in net_test.cpp)
 // ---------------------------------------------------------------------------
 
-TEST(Http, BatchRoundTripIsByteIdenticalToStdio) {
-  const std::string expected = stdio_reference(kWorkload);
+TEST(Http, BatchIsStreamedAsChunkedNdjson) {
   HttpHarness server;
   HttpClient client(server.port());
   ASSERT_TRUE(client.connected());
@@ -216,7 +216,7 @@ TEST(Http, BatchRoundTripIsByteIdenticalToStdio) {
   EXPECT_TRUE(resp.chunked) << resp.head;
   EXPECT_TRUE(resp.header_contains("Content-Type: application/x-ndjson"))
       << resp.head;
-  EXPECT_EQ(resp.body, expected);
+  EXPECT_EQ(resp.body.rfind("{\"id\":0,", 0), 0u) << resp.body;
   server.stop();
   EXPECT_EQ(server.exit_code(), 0);
 }

@@ -1,7 +1,8 @@
-// Tests for the TCP front end (net.hpp): endpoint parsing, loopback
-// round trips that must be byte-identical to the stdio transport,
-// concurrent clients sharing one warm CoverCache, and resilience when a
-// client disconnects mid-stream (the server must outlive EPIPE).
+// Tests for the socket server (net.hpp): endpoint parsing, one stream
+// that must be byte-identical to the stdio transport over TCP, HTTP and
+// shm at every jobs/batch setting, concurrent TCP clients sharing one
+// warm CoverCache, and resilience when a client disconnects mid-stream
+// (the server must outlive EPIPE).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,9 +23,11 @@
 #include "ccov/engine/engine.hpp"
 #include "ccov/engine/net.hpp"
 #include "ccov/engine/serve.hpp"
+#include "ccov/engine/shm.hpp"
 
 namespace eng = ccov::engine;
 namespace net = ccov::engine::net;
+namespace shm = ccov::engine::shm;
 
 namespace {
 
@@ -108,11 +112,11 @@ class TestClient {
   std::string buffer_;
 };
 
-/// A running ServeServer on an ephemeral loopback port.
+/// A running TCP Server on an ephemeral loopback port.
 class ServerHarness {
  public:
   explicit ServerHarness(eng::ServeConfig config = {})
-      : server_(engine_, std::move(config)),
+      : server_(engine_, std::move(config), net::Transport::kTcp),
         runner_([this] { rc_ = server_.run(); }) {}
 
   ~ServerHarness() { stop(); }
@@ -130,7 +134,7 @@ class ServerHarness {
 
  private:
   eng::Engine engine_;
-  net::ServeServer server_;
+  net::Server server_;
   int rc_ = -1;
   std::thread runner_;
 };
@@ -209,22 +213,130 @@ const char kWorkloadB[] =
 
 }  // namespace
 
-TEST(NetServer, RoundTripIsByteIdenticalToStdio) {
-  // Reference: the exact bytes the stdio transport produces for this
-  // stream against a fresh engine.
-  eng::Engine reference_engine;
-  const std::string expected = stdio_reference(reference_engine, kWorkloadA);
+// ---------------------------------------------------------------------------
+// Transport parity: one stream, every socket transport, jobs and batch
+// ---------------------------------------------------------------------------
 
-  ServerHarness server;
-  TestClient client(server.port());
-  ASSERT_TRUE(client.connected());
-  client.send_text(kWorkloadA);
-  client.finish_sending();
-  EXPECT_EQ(client.read_to_eof(), expected);
+namespace {
 
-  server.stop();
-  EXPECT_EQ(server.exit_code(), 0);
+constexpr std::size_t kParityMaxLine = 256;
+
+/// kWorkloadA (K_n requests, a demand, a malformed line), the demand's
+/// D_n image (+2), a line over kParityMaxLine, one more K_n request and
+/// a stats verb.
+std::string parity_stream() {
+  return std::string(kWorkloadA) +
+         "{\"algo\":\"greedy\",\"n\":9,\"demand\":[[2,5],[3,6],[4,0]]}\n"
+         "{\"algo\":\"construct\",\"n\":11,\"pad\":\"" +
+         std::string(kParityMaxLine, 'x') +
+         "\"}\n"
+         "{\"algo\":\"construct\",\"n\":12}\n"
+         "{\"op\":\"stats\"}\n";
 }
+
+/// The payload of a chunked HTTP response read to its end.
+std::string dechunked_body(const std::string& response) {
+  std::size_t pos = response.find("\r\n\r\n");
+  if (pos == std::string::npos) return "<no head>";
+  pos += 4;
+  std::string body;
+  for (;;) {
+    const std::size_t nl = response.find("\r\n", pos);
+    if (nl == std::string::npos) return body + "<truncated>";
+    const std::size_t size =
+        std::stoul(response.substr(pos, nl - pos), nullptr, 16);
+    if (size == 0) return body;
+    body.append(response, nl + 2, size);
+    pos = nl + 2 + size + 2;
+  }
+}
+
+/// What `server` answers to `input` on one connection.
+std::string exchange(net::Server& server, net::Transport transport,
+                     const std::string& input) {
+  if (transport == net::Transport::kShm) {
+    shm::ShmClient client;
+    std::string error;
+    EXPECT_TRUE(client.connect(server.address(), &error)) << error;
+    EXPECT_TRUE(client.send(input.data(), input.size()));
+    client.finish();
+    std::string out;
+    while (client.read_some(&out) > 0) {
+    }
+    return out;
+  }
+  TestClient client(server.port());
+  if (transport == net::Transport::kTcp) {
+    client.send_text(input);
+    client.finish_sending();
+    return client.read_to_eof();
+  }
+  client.send_text("POST /v1/batch HTTP/1.1\r\nHost: test\r\n"
+                   "Connection: close\r\nContent-Length: " +
+                   std::to_string(input.size()) + "\r\n\r\n" + input);
+  return dechunked_body(client.read_to_eof());
+}
+
+struct ParityCase {
+  net::Transport transport;
+  std::size_t jobs;
+  std::size_t batch;
+};
+
+/// gtest prints each case this way, and ctest names it by the print:
+/// Net/ServerParity.MatchesStdioBytes/tcp_jobs1_batch1.
+void PrintTo(const ParityCase& c, std::ostream* os) {
+  *os << (c.transport == net::Transport::kTcp    ? "tcp"
+          : c.transport == net::Transport::kHttp ? "http"
+                                                 : "shm")
+      << "_jobs" << c.jobs << "_batch" << c.batch;
+}
+
+const net::Transport kParityTransports[] = {
+    net::Transport::kTcp, net::Transport::kHttp,
+#ifdef __linux__
+    net::Transport::kShm,
+#endif
+};
+
+std::vector<ParityCase> parity_cases() {
+  std::vector<ParityCase> cases;
+  for (const net::Transport transport : kParityTransports)
+    for (const std::size_t jobs : {1, 4})
+      for (const std::size_t batch : {1, 8})
+        cases.push_back({transport, jobs, batch});
+  return cases;
+}
+
+class ServerParity : public ::testing::TestWithParam<ParityCase> {};
+
+}  // namespace
+
+TEST_P(ServerParity, MatchesStdioBytes) {
+  const ParityCase& param = GetParam();
+  // Reference: the interactive stdio session on a fresh engine.
+  eng::ServeConfig reference_config;
+  reference_config.max_line_bytes = kParityMaxLine;
+  eng::Engine reference_engine;
+  const std::string expected =
+      stdio_reference(reference_engine, parity_stream(), reference_config);
+  ASSERT_NE(expected.find("exceeds"), std::string::npos) << expected;
+
+  eng::ServeConfig config = reference_config;
+  config.jobs = param.jobs;
+  config.batch = param.batch;
+  config.shm_name = "ccov-parity-" + std::to_string(::getpid()) + "-" +
+                    ::testing::PrintToString(param);
+  eng::Engine engine;
+  net::Server server(engine, config, param.transport);
+  std::thread runner([&server] { EXPECT_EQ(server.run(), 0); });
+  EXPECT_EQ(exchange(server, param.transport, parity_stream()), expected);
+  server.shutdown();
+  runner.join();
+}
+
+INSTANTIATE_TEST_SUITE_P(Net, ServerParity,
+                         ::testing::ValuesIn(parity_cases()));
 
 TEST(NetServer, ConcurrentClientsShareOneWarmCache) {
   ServerHarness server;

@@ -1,6 +1,6 @@
 // Tests for the shared-memory transport: the SPSC byte ring underneath
 // it (wrap-around, backpressure, cross-thread hammering) and the
-// ShmServer/ShmClient pair on top (handshake rejection of torn
+// shm Server/ShmClient pair on top (handshake rejection of torn
 // segments, concurrent sessions and the max-clients bound, shutdown,
 // end-to-end byte identity against the stdio transport from a fork()'d
 // client process, killed servers and clients).
@@ -34,6 +34,7 @@
 #include "ccov/util/shm_ring.hpp"
 
 namespace eng = ccov::engine;
+namespace net = ccov::engine::net;
 namespace shm = ccov::engine::shm;
 using ccov::util::ShmByteRing;
 
@@ -235,7 +236,8 @@ class ServerFixture {
     config.shm_name = name;
     config.shm_ring_bytes = ring_bytes;
     config.max_clients = max_clients;
-    server_ = std::make_unique<shm::ShmServer>(engine_, config);
+    server_ = std::make_unique<net::Server>(engine_, config,
+                                            net::Transport::kShm);
     thread_ = std::thread([this] { server_->run(); });
   }
 
@@ -249,7 +251,7 @@ class ServerFixture {
 
  private:
   eng::Engine engine_{eng::EngineOptions{}};
-  std::unique_ptr<shm::ShmServer> server_;
+  std::unique_ptr<net::Server> server_;
   std::thread thread_;
 };
 
@@ -266,10 +268,16 @@ bool connect_with_retry(shm::ShmClient* client, const std::string& name,
   return false;
 }
 
+/// Send one request line (the newline is added here).
+bool send_line(shm::ShmClient& client, const std::string& line) {
+  const std::string text = line + "\n";
+  return client.send(text.data(), text.size());
+}
+
 /// One request, one response line, then a clean end of stream.
 void expect_round_trip(shm::ShmClient& client, int n) {
-  ASSERT_TRUE(client.send_line("{\"algo\":\"construct\",\"n\":" +
-                               std::to_string(n) + "}"));
+  ASSERT_TRUE(send_line(client, "{\"algo\":\"construct\",\"n\":" +
+                                    std::to_string(n) + "}"));
   client.finish();
   std::string line;
   ASSERT_TRUE(client.read_line(&line));
@@ -323,7 +331,7 @@ TEST(ShmServe, ConnectRejectsTornSegment) {
   // wrong version, wrong capacity geometry, and a header that claims
   // more than the memfd holds.
   const std::string name = unique_shm_name("torn");
-  eng::net::Listener listener("ccov-shm/" + name);
+  net::Listener listener("ccov-shm/" + name);
 
   struct Case {
     std::uint64_t magic;
@@ -396,7 +404,7 @@ TEST(ShmServe, PassedSegmentCannotBeResized) {
   // sealed, so neither a shrink nor a grow gets through.
   const std::string name = unique_shm_name("sealed");
   ServerFixture server(name);
-  const int sock = eng::net::connect_abstract("ccov-shm/" + name);
+  const int sock = net::connect_abstract("ccov-shm/" + name);
   ASSERT_GE(sock, 0) << std::strerror(errno);
   const int fd = receive_segment_fd(sock);
   ASSERT_GE(fd, 0);
@@ -427,7 +435,7 @@ TEST(ShmServe, ConnectTimesOutOnASilentListener) {
   // wedged server) fails the connect after the handshake bound instead
   // of blocking it forever.
   const std::string name = unique_shm_name("silent");
-  eng::net::Listener listener("ccov-shm/" + name);
+  net::Listener listener("ccov-shm/" + name);
   shm::ShmClient client;
   std::string error;
   const auto t0 = std::chrono::steady_clock::now();
@@ -470,7 +478,7 @@ TEST(ShmServe, SecondServerOnLiveNameRejected) {
   eng::ServeConfig config;
   config.shm_name = name;
   try {
-    shm::ShmServer second(other, config);
+    net::Server second(other, config, net::Transport::kShm);
     FAIL() << "second server on a live name must throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("already being served"),
@@ -561,7 +569,7 @@ TEST(ShmServe, ShutdownEndsASessionThatNeverStopsSending) {
   eng::ServeConfig config;
   config.shm_name = name;
   config.shm_ring_bytes = 1 << 12;
-  shm::ShmServer server(engine, config);
+  net::Server server(engine, config, net::Transport::kShm);
   std::thread runner([&server] { server.run(); });
 
   shm::ShmClient client;
@@ -630,7 +638,7 @@ TEST(ShmProcess, ForkedClientMatchesStdioBytes) {
     std::string error;
     if (!connect_with_retry(&client, name, &error)) ::_exit(2);
     for (const char* l : kScriptLines)
-      if (!client.send_line(l)) ::_exit(3);
+      if (!send_line(client, l)) ::_exit(3);
     client.finish();
     std::string line;
     while (client.read_line(&line)) {
@@ -680,7 +688,7 @@ TEST(ShmProcess, StaleSegmentRecycledAfterServerDeath) {
     eng::Engine engine{eng::EngineOptions{}};
     eng::ServeConfig config;
     config.shm_name = name;
-    shm::ShmServer server(engine, config);
+    net::Server server(engine, config, net::Transport::kShm);
     const char byte = 'r';
     if (::write(ready[1], &byte, 1) != 1) ::_exit(2);
     for (;;) ::pause();  // until SIGKILL
@@ -716,7 +724,7 @@ TEST(ShmProcess, VanishedClientFreesSlot) {
     shm::ShmClient client;
     std::string error;
     if (!connect_with_retry(&client, name, &error)) ::_exit(2);
-    client.send_line("{\"algo\":\"construct\",\"n\":7}");
+    send_line(client, "{\"algo\":\"construct\",\"n\":7}");
     std::string line;
     client.read_line(&line);
     ::raise(SIGKILL);
@@ -757,7 +765,7 @@ TEST(ShmProcess, PeersOfAnotherUserAreRefused) {
     ::close(go[1]);
     char byte = 0;
     if (::setuid(kOther) != 0 || ::read(go[0], &byte, 1) != 1) ::_exit(2);
-    const int sock = eng::net::connect_abstract("ccov-shm/" + name);
+    const int sock = net::connect_abstract("ccov-shm/" + name);
     if (sock < 0) ::_exit(3);
     if (receive_segment_fd(sock) >= 0) ::_exit(4);  // got a segment
     shm::ShmClient client;
@@ -796,7 +804,7 @@ TEST(ShmProcess, PeersOfAnotherUserAreRefused) {
     eng::ServeConfig config;
     config.shm_name = name;
     // Bound but never run: the client must refuse before any handshake.
-    shm::ShmServer server(engine, config);
+    net::Server server(engine, config, net::Transport::kShm);
     const char byte = 'r';
     if (::write(ready[1], &byte, 1) != 1) ::_exit(2);
     for (;;) ::pause();  // until SIGKILL

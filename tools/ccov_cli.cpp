@@ -43,7 +43,6 @@
 #include "ccov/covering/solver.hpp"
 #include "ccov/engine/batch.hpp"
 #include "ccov/engine/engine.hpp"
-#include "ccov/engine/http.hpp"
 #include "ccov/engine/net.hpp"
 #include "ccov/engine/serve.hpp"
 #include "ccov/engine/shm.hpp"
@@ -361,10 +360,14 @@ int cmd_sweep(const ccov::util::Cli& cli) {
 }
 
 /// The single place serve flags become a ServeConfig — every front end
-/// (stdio, --listen, --http, --shm) consumes the result. The three
-/// transport flags form one mutually-exclusive group: naming more than
-/// one raises a single coherent error listing exactly what was given.
-ccov::engine::ServeConfig parse_serve_config(const ccov::util::Cli& cli) {
+/// (stdio, --listen, --http, --shm) consumes the result — and a
+/// transport: *transport is left empty for stdio. The three transport
+/// flags form one mutually-exclusive group: naming more than one raises
+/// a single coherent error listing exactly what was given.
+ccov::engine::ServeConfig parse_serve_config(
+    const ccov::util::Cli& cli,
+    std::optional<ccov::engine::net::Transport>* transport) {
+  using ccov::engine::net::Transport;
   ccov::engine::ServeConfig config;
   config.jobs = get_uint<std::size_t>(cli, "jobs", 1);
   config.batch = get_uint<std::size_t>(cli, "batch", 1);
@@ -379,13 +382,17 @@ ccov::engine::ServeConfig parse_serve_config(const ccov::util::Cli& cli) {
 
   const struct {
     const char* flag;
+    Transport transport;
     std::string value;
-  } transports[] = {{"listen", cli.get("listen", "")},
-                    {"http", cli.get("http", "")},
-                    {"shm", cli.get("shm", "")}};
+  } transports[] = {{"listen", Transport::kTcp, cli.get("listen", "")},
+                    {"http", Transport::kHttp, cli.get("http", "")},
+                    {"shm", Transport::kShm, cli.get("shm", "")}};
   std::vector<std::string> given;
-  for (const auto& t : transports)
-    if (!t.value.empty()) given.push_back(std::string("--") + t.flag);
+  for (const auto& t : transports) {
+    if (t.value.empty()) continue;
+    given.push_back(std::string("--") + t.flag);
+    *transport = t.transport;
+  }
   if (given.size() > 1) {
     std::string got = given[0];
     for (std::size_t i = 1; i < given.size(); ++i)
@@ -396,7 +403,7 @@ ccov::engine::ServeConfig parse_serve_config(const ccov::util::Cli& cli) {
   }
 
   for (const auto& t : transports) {
-    if (t.value.empty() || t.flag == std::string("shm")) continue;
+    if (t.value.empty() || t.transport == Transport::kShm) continue;
     std::string err;
     if (!ccov::engine::net::parse_endpoint(t.value, &config.host,
                                            &config.port, &err))
@@ -426,10 +433,8 @@ int cmd_serve(const ccov::util::Cli& cli) {
       return 2;
     }
   }
-  ccov::engine::ServeConfig config = parse_serve_config(cli);
-  const bool listen = !cli.get("listen", "").empty();
-  const bool http = !cli.get("http", "").empty();
-  const bool shm = !config.shm_name.empty();
+  std::optional<ccov::engine::net::Transport> transport;
+  ccov::engine::ServeConfig config = parse_serve_config(cli, &transport);
 
   // The shutdown token the SIGINT/SIGTERM handler fires. Static because
   // a signal can arrive after cmd_serve unwinds (the handlers stay
@@ -459,25 +464,17 @@ int cmd_serve(const ccov::util::Cli& cli) {
   }
 
   int rc = 0;
-  if (http) {
-    ccov::engine::net::HttpServer server(engine, config);
+  if (transport) {
+    using ccov::engine::net::Transport;
+    ccov::engine::net::Server server(engine, config, *transport);
     ccov::engine::net::install_signal_shutdown(server.wake_fd(),
                                                &shutdown_token);
-    std::cerr << "serve: http listening on " << server.host() << ":"
-              << server.port() << "\n";
-    rc = server.run();
-  } else if (listen) {
-    ccov::engine::net::ServeServer server(engine, config);
-    ccov::engine::net::install_signal_shutdown(server.wake_fd(),
-                                               &shutdown_token);
-    std::cerr << "serve: listening on " << server.host() << ":"
-              << server.port() << "\n";
-    rc = server.run();
-  } else if (shm) {
-    ccov::engine::shm::ShmServer server(engine, config);
-    ccov::engine::net::install_signal_shutdown(server.wake_fd(),
-                                               &shutdown_token);
-    std::cerr << "serve: shm serving on " << server.name() << "\n";
+    // perfbench and tests/cli_smoke.sh parse these lines.
+    std::cerr << "serve: "
+              << (*transport == Transport::kTcp    ? "listening on "
+                  : *transport == Transport::kHttp ? "http listening on "
+                                                   : "shm serving on ")
+              << server.address() << "\n";
     rc = server.run();
   } else {
     // Unsynchronized streams let the stdio transport's read_some drain
