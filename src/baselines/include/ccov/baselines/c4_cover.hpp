@@ -19,8 +19,8 @@ std::uint64_t c4_covering_lower_bound(std::uint32_t n);
 
 /// Greedy covering of K_n by C4s (a trailing triangle may be needed when
 /// fewer than 4 fresh-edge vertices remain; it is counted like a cycle).
-/// `stop` is polled once per candidate third vertex (util::Interrupted
-/// escapes).
+/// `stop` is polled once per chosen cycle (util::Interrupted escapes);
+/// each choice scans O(n^2) vertex pairs.
 std::vector<covering::Cycle> greedy_c4_cover(
     std::uint32_t n, const util::Interrupt& stop = {});
 

@@ -1,9 +1,9 @@
 #include "ccov/baselines/c4_cover.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
+#include "ccov/covering/chord_bitset.hpp"
 #include "ccov/util/ints.hpp"
 
 namespace ccov::baselines {
@@ -20,29 +20,24 @@ std::uint64_t c4_covering_lower_bound(std::uint32_t n) {
 std::vector<covering::Cycle> greedy_c4_cover(std::uint32_t n,
                                              const util::Interrupt& stop) {
   using covering::Vertex;
-  std::set<std::pair<Vertex, Vertex>> uncovered;
-  for (Vertex a = 0; a < n; ++a) {
-    stop.poll();  // at n in the thousands, filling the set takes seconds
-    for (Vertex b = a + 1; b < n; ++b) uncovered.insert({a, b});
-  }
+  covering::ChordBitset uncovered(n);
+  uncovered.set_all_chords();
   auto has = [&](Vertex u, Vertex v) {
-    return uncovered.count({std::min(u, v), std::max(u, v)}) > 0;
+    return uncovered.test(std::min(u, v), std::max(u, v));
   };
   auto erase = [&](Vertex u, Vertex v) {
-    uncovered.erase({std::min(u, v), std::max(u, v)});
+    uncovered.clear(std::min(u, v), std::max(u, v));
   };
 
   std::vector<covering::Cycle> out;
-  while (!uncovered.empty()) {
-    const auto [a, b] = *uncovered.begin();
+  Vertex a = 0, b = 0;
+  while (uncovered.first(a, b)) {
+    stop.poll();
     // Choose c, d maximizing fresh edges of the 4-cycle (a, b, c, d).
     Vertex bc = 0, bd = 0;
     int best = -1;
     for (Vertex c = 0; c < n; ++c) {
       if (c == a || c == b) continue;
-      // Polled per c, not per cycle: one step makes O(n^2) set probes,
-      // seconds each at n in the thousands.
-      stop.poll();
       for (Vertex d = 0; d < n; ++d) {
         if (d == a || d == b || d == c) continue;
         const int fresh = 1 + (has(b, c) ? 1 : 0) + (has(c, d) ? 1 : 0) +

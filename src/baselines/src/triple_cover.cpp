@@ -1,8 +1,9 @@
 #include "ccov/baselines/triple_cover.hpp"
 
-#include <set>
+#include <algorithm>
 #include <stdexcept>
 
+#include "ccov/covering/chord_bitset.hpp"
 #include "ccov/util/ints.hpp"
 
 namespace ccov::baselines {
@@ -17,24 +18,22 @@ std::uint64_t triple_covering_number(std::uint32_t n) {
 std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n,
                                                  const util::Interrupt& stop) {
   using covering::Vertex;
-  std::set<std::pair<Vertex, Vertex>> uncovered;
-  for (Vertex a = 0; a < n; ++a) {
-    stop.poll();  // at n in the thousands, filling the set takes seconds
-    for (Vertex b = a + 1; b < n; ++b) uncovered.insert({a, b});
-  }
+  covering::ChordBitset uncovered(n);
+  uncovered.set_all_chords();
+  auto has = [&](Vertex u, Vertex v) {
+    return uncovered.test(std::min(u, v), std::max(u, v));
+  };
 
   std::vector<covering::Cycle> out;
-  while (!uncovered.empty()) {
+  Vertex a = 0, b = 0;
+  while (uncovered.first(a, b)) {
     stop.poll();
-    const auto [a, b] = *uncovered.begin();
     // Pick the third vertex completing the most uncovered pairs.
     Vertex best = (a + 1) % n;
     int best_fresh = -1;
     for (Vertex w = 0; w < n; ++w) {
       if (w == a || w == b) continue;
-      int fresh = 1;  // (a, b) itself
-      if (uncovered.count({std::min(a, w), std::max(a, w)})) ++fresh;
-      if (uncovered.count({std::min(b, w), std::max(b, w)})) ++fresh;
+      const int fresh = 1 + has(a, w) + has(b, w);  // (a, b) itself
       if (fresh > best_fresh) {
         best_fresh = fresh;
         best = w;
@@ -42,9 +41,8 @@ std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n,
     }
     covering::Cycle tri{a, b, best};
     for (std::size_t i = 0; i < 3; ++i) {
-      Vertex u = tri[i], v = tri[(i + 1) % 3];
-      if (u > v) std::swap(u, v);
-      uncovered.erase({u, v});
+      const Vertex u = tri[i], v = tri[(i + 1) % 3];
+      uncovered.clear(std::min(u, v), std::max(u, v));
     }
     out.push_back(std::move(tri));
   }

@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "ccov/covering/cover.hpp"
+#include "ccov/util/timer.hpp"
 
 namespace ccov::covering {
 
@@ -23,7 +24,9 @@ std::uint64_t rho_lambda_lower_bound(std::uint32_t n, std::uint32_t lambda);
 /// per pair of copies, so for n <= 12 the gap is 2*floor(lambda/2) when
 /// p = n/2 is even and floor(lambda/2) when p is odd; for n >= 14 each copy
 /// adds build_optimal_cover's floor((p-1)/2) surplus cycles on top.
-/// Throws std::invalid_argument for lambda == 0.
-RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda);
+/// Throws std::invalid_argument for lambda == 0. `stop` reaches the
+/// construction and is polled once per copy.
+RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda,
+                             const util::Interrupt& stop = {});
 
 }  // namespace ccov::covering

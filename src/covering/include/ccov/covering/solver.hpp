@@ -24,55 +24,49 @@ struct SolverOptions {
   /// Capacity pruning (each cycle supplies exactly n arc units). Disabling
   /// it exists only for the ablation benchmark — searches explode.
   bool use_capacity_prune = true;
-  /// Runtime interruption controls. Both are polled every ~4k nodes, so
-  /// an unset deadline / null token leaves node counts byte-identical to
-  /// a build without them (the golden-count tests pin this). They
-  /// describe *this run*, not the problem, and are deliberately excluded
-  /// from the engine's canonical cache key.
-  util::Deadline deadline{};                  ///< wall-clock bound (unset = none)
-  const util::CancelToken* cancel = nullptr;  ///< cooperative cancel (may be null)
 };
 
 struct SolverResult {
   bool found = false;          ///< a covering within the budget was found
   bool exhausted = false;      ///< search space fully explored (proof of
                                ///< infeasibility when !found)
-  bool timed_out = false;      ///< the deadline expired mid-search
-  bool cancelled = false;      ///< the cancel token fired mid-search
+  bool timed_out = false;      ///< the stop's deadline expired mid-search
+  bool cancelled = false;      ///< the stop's cancel token fired mid-search
   std::uint64_t nodes = 0;     ///< branch nodes visited
   RingCover cover;             ///< witness when found
 };
 
 /// Search for a DRC-covering of K_n (n >= 3, else std::invalid_argument)
-/// with at most `budget` cycles.
+/// with at most `budget` cycles. `stop` is checked every 4096 nodes and
+/// reported in timed_out/cancelled, never thrown; checking it leaves the
+/// visited nodes unchanged, so an unfired stop gives the node counts of
+/// a run without one (the golden-count tests pin this).
 SolverResult solve_with_budget(std::uint32_t n, std::uint64_t budget,
-                               const SolverOptions& opts = {});
+                               const SolverOptions& opts = {},
+                               const util::Interrupt& stop = {});
 
 /// Compute the exact minimum by decreasing the budget from the
 /// construction's value until infeasible. Returns the minimum count and a
-/// witness, or nullopt if the node budget was exceeded, the deadline
-/// expired, or the cancel token fired. When `last` is non-null it
-/// receives the final budget probe's result (total nodes across all
-/// probes; timed_out/cancelled say *why* an inconclusive run stopped).
+/// witness, or nullopt if the node budget was exceeded.
 std::optional<std::pair<std::uint64_t, RingCover>> solve_minimum(
-    std::uint32_t n, const SolverOptions& opts = {},
-    SolverResult* last = nullptr);
+    std::uint32_t n, const SolverOptions& opts = {});
 
 /// Parallel variant; solve_with_budget is its one-worker case, which
 /// starts no thread. The root node is visited once, then `threads`
 /// workers (the caller plus threads-1 helpers; 0 = hardware concurrency,
 /// capped at the core count and at the root fan-out) claim the root
 /// subtrees in index order, drawing from one node budget
-/// (`opts.max_nodes` in total). The witness
-/// is the lowest successful subtree's, i.e. the serial cover. Once a
-/// subtree stops for the budget, deadline or cancel token, no further
-/// subtree starts. So `nodes` and `cover` equal the serial result
-/// whenever nothing stops, and every field does at threads == 1. If a
+/// (`opts.max_nodes` in total). The witness is the lowest successful
+/// subtree's, i.e. the serial cover. Once a subtree stops for the budget
+/// or `stop`, no further subtree starts. So `nodes` and `cover` equal the
+/// serial result whenever nothing stops, and every field does at
+/// threads == 1. If a
 /// subtree below the winner stopped, the cover is valid but may differ
 /// from the serial one, and `exhausted == false` flags it.
 SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
                                         const SolverOptions& opts = {},
-                                        std::size_t threads = 0);
+                                        std::size_t threads = 0,
+                                        const util::Interrupt& stop = {});
 
 namespace detail {
 

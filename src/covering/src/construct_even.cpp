@@ -96,7 +96,7 @@ void even_step(RingCover& cover, std::uint32_t m) {
 /// all even n is the one part of Theorem 2 this library reproduces exactly
 /// only for n <= 12 (where the exact solver certifies the theorem); the
 /// gap is pinned by EvenGeneralParam.WithinDocumentedGapOfRho.
-RingCover fallback_even(std::uint32_t n) {
+RingCover fallback_even(std::uint32_t n, const util::Interrupt& stop) {
   const Vertex p = n / 2;
   RingCover cover;
   cover.n = n;
@@ -106,10 +106,12 @@ RingCover fallback_even(std::uint32_t n) {
   for (Vertex a = p; a < 2 * p; ++a)
     cover.cycles.push_back(
         sorted_cycle({at(a), at(a + 1), at(a + p), at(a + p + 1)}));
-  for (Vertex d = 2; d < p - d; ++d)
+  for (Vertex d = 2; d < p - d; ++d) {
+    stop.poll();
     for (Vertex x = 0; x < p; ++x)
       cover.cycles.push_back(
           sorted_cycle({at(x), at(x + d), at(x + p), at(x + p + d)}));
+  }
   if (p % 2 == 0 && p / 2 >= 2)
     for (Vertex x = 0; x < p / 2; ++x)
       cover.cycles.push_back(
@@ -119,7 +121,7 @@ RingCover fallback_even(std::uint32_t n) {
 
 }  // namespace
 
-RingCover construct_even_cover(std::uint32_t n) {
+RingCover construct_even_cover(std::uint32_t n, const util::Interrupt& stop) {
   if (n < 4 || n % 2 == 1)
     throw std::invalid_argument("construct_even_cover: even n >= 4 required");
   if (n == 4) return base4();
@@ -135,7 +137,7 @@ RingCover construct_even_cover(std::uint32_t n) {
     even_step(cover, 12);
     return cover;
   }
-  return fallback_even(n);
+  return fallback_even(n, stop);
 }
 
 }  // namespace ccov::covering

@@ -18,7 +18,7 @@ namespace ccov::covering {
 /// Counting gives rho(2p+1) = rho(2p-1) + p with p-1 quads + 1 triangle
 /// added per step: totals p C3 + p(p-1)/2 C4 = p(p+1)/2 cycles, matching
 /// the capacity lower bound, hence optimal.
-RingCover construct_odd_cover(std::uint32_t n) {
+RingCover construct_odd_cover(std::uint32_t n, const util::Interrupt& stop) {
   if (n < 3 || n % 2 == 0)
     throw std::invalid_argument("construct_odd_cover: odd n >= 3 required");
 
@@ -27,6 +27,7 @@ RingCover construct_odd_cover(std::uint32_t n) {
   cover.cycles = {{0, 1, 2}};
 
   for (std::uint32_t m = 5; m <= n; m += 2) {
+    stop.poll();
     const Vertex p = (m - 1) / 2;
     // Relabel: old i -> i+1 for i <= p-2, old i -> i+2 for i >= p-1.
     for (Cycle& c : cover.cycles)

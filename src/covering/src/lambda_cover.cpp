@@ -24,15 +24,18 @@ std::uint64_t rho_lambda_lower_bound(std::uint32_t n, std::uint32_t lambda) {
   return lb;
 }
 
-RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda) {
+RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda,
+                             const util::Interrupt& stop) {
   if (lambda == 0)
     throw std::invalid_argument("build_lambda_cover: lambda >= 1 required");
-  RingCover base = build_optimal_cover(n);
+  RingCover base = build_optimal_cover(n, stop);
   RingCover out;
   out.n = n;
   out.cycles.reserve(base.cycles.size() * lambda);
-  for (std::uint32_t k = 0; k < lambda; ++k)
+  for (std::uint32_t k = 0; k < lambda; ++k) {
+    stop.poll();
     for (const auto& c : base.cycles) out.cycles.push_back(c);
+  }
   return out;
 }
 

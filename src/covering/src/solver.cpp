@@ -23,11 +23,11 @@ namespace ccov::covering {
 namespace {
 
 constexpr std::uint64_t kNodeChunk = 4096;
-/// Deadline, cancel-token and winner poll cadence: every 4096 nodes,
-/// amortizing the clock read to nothing. The masked test itself runs on
-/// every node even when both controls are unset, so arming them never
-/// changes which nodes a non-interrupted search visits — the golden node
-/// counts stay byte-identical.
+/// Stop and winner check cadence: every 4096 nodes, amortizing the clock
+/// read to nothing. The masked test itself runs on every node even when
+/// the stop is unset, so arming it never changes which nodes a
+/// non-interrupted search visits — the golden node counts stay
+/// byte-identical.
 constexpr std::uint64_t kInterruptCheckMask = 4095;
 constexpr std::size_t kNoWinner = std::numeric_limits<std::size_t>::max();
 
@@ -35,8 +35,8 @@ constexpr std::size_t kNoWinner = std::numeric_limits<std::size_t>::max();
 enum class Stop : std::uint8_t {
   kNone,      // still running, or the subtree was searched in full
   kBudget,    // the shared node budget ran out
-  kDeadline,  // opts.deadline expired
-  kCancel,    // *opts.cancel fired
+  kDeadline,  // the interrupt's deadline expired
+  kCancel,    // the interrupt's cancel token fired
   kLost,      // a lower-index root subtree already succeeded
 };
 
@@ -73,6 +73,7 @@ struct Search {
   std::uint32_t n;
   ring::Ring r;
   SolverOptions opts;
+  util::Interrupt interrupt;
 
   // Chord (a, b), a < b, indexed as a*n + b. covered[] counts coverage;
   // the bitset mirrors "count == 0" so the lexicographically first
@@ -109,11 +110,12 @@ struct Search {
   /// chosen cycle covers at least one new chord (every candidate contains
   /// the branching chord), so the DFS depth is also bounded by the chord
   /// count.
-  Search(std::uint32_t nn, const SolverOptions& o, Shared* sh,
-         std::uint64_t budget)
+  Search(std::uint32_t nn, const SolverOptions& o,
+         const util::Interrupt& in, Shared* sh, std::uint64_t budget)
       : n(nn),
         r(nn),
         opts(o),
+        interrupt(in),
         covered(static_cast<std::size_t>(nn) * nn, 0),
         uncovered(nn),
         shared(sh) {
@@ -223,12 +225,8 @@ struct Search {
   bool consume_node() {
     ++nodes;
     if ((nodes & kInterruptCheckMask) == 0) {
-      if (opts.cancel != nullptr && opts.cancel->cancelled()) {
-        stop = Stop::kCancel;
-        return false;
-      }
-      if (opts.deadline.expired()) {
-        stop = Stop::kDeadline;
+      if (interrupt.fired()) {
+        stop = interrupt.cancelled() ? Stop::kCancel : Stop::kDeadline;
         return false;
       }
       if (shared->winner.load(std::memory_order_relaxed) < root_index) {
@@ -335,10 +333,11 @@ void claim_subtrees(Search& s, std::span<const SmallCycle> roots,
 /// per pool thread when workers > 1. A one-worker run is the plain serial
 /// DFS and starts no thread.
 SolverResult run_search(std::uint32_t n, std::uint64_t budget,
-                        const SolverOptions& opts, std::size_t workers) {
+                        const SolverOptions& opts, std::size_t workers,
+                        const util::Interrupt& stop) {
   if (n < 3) throw std::invalid_argument("solve: n >= 3 required");
   Shared shared(opts.max_nodes);
-  Search lead(n, opts, &shared, budget);
+  Search lead(n, opts, stop, &shared, budget);
   const std::span<const SmallCycle> roots = lead.expand(budget);
   SolverResult res;
   res.nodes = lead.nodes;
@@ -358,7 +357,7 @@ SolverResult run_search(std::uint32_t n, std::uint64_t budget,
     if (helpers > 0) pool.emplace(helpers);
     for (std::size_t k = 0; k < helpers; ++k)
       pool->submit(group, [&] {
-        Search s(n, opts, &shared, budget);
+        Search s(n, opts, stop, &shared, budget);
         claim_subtrees(s, roots, budget, out);
       });
     claim_subtrees(lead, roots, budget, out);
@@ -392,30 +391,26 @@ SolverResult run_search(std::uint32_t n, std::uint64_t budget,
 }  // namespace
 
 SolverResult solve_with_budget(std::uint32_t n, std::uint64_t budget,
-                               const SolverOptions& opts) {
-  return run_search(n, budget, opts, 1);
+                               const SolverOptions& opts,
+                               const util::Interrupt& stop) {
+  return run_search(n, budget, opts, 1, stop);
 }
 
 SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
                                         const SolverOptions& opts,
-                                        std::size_t threads) {
-  return run_search(n, budget, opts, threads);
+                                        std::size_t threads,
+                                        const util::Interrupt& stop) {
+  return run_search(n, budget, opts, threads, stop);
 }
 
 std::optional<std::pair<std::uint64_t, RingCover>> solve_minimum(
-    std::uint32_t n, const SolverOptions& opts, SolverResult* last) {
+    std::uint32_t n, const SolverOptions& opts) {
   // Start from the construction (an upper bound) and push downward.
   RingCover ub = build_optimal_cover(n);
   std::uint64_t best = ub.size();
   RingCover witness = ub;
-  std::uint64_t total_nodes = 0;
   while (best > 1) {
     SolverResult res = solve_with_budget(n, best - 1, opts);
-    total_nodes += res.nodes;
-    if (last != nullptr) {
-      *last = res;
-      last->nodes = total_nodes;
-    }
     if (res.found) {
       best = res.cover.size();
       witness = res.cover;
@@ -431,7 +426,7 @@ namespace detail {
 
 std::vector<Cycle> candidate_cycles(std::uint32_t n, Vertex a, Vertex b,
                                     const SolverOptions& opts) {
-  Search s(n, opts, nullptr, 0);
+  Search s(n, opts, {}, nullptr, 0);
   Search::DepthScratch scratch;
   s.generate(a, b, scratch);
   const std::size_t k = s.order_candidates(scratch);

@@ -43,7 +43,6 @@ class Counter {
 class Gauge {
  public:
   void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -86,8 +85,6 @@ class MetricsRegistry {
   /// Every (name, current value) pair sorted by name — the `metrics`
   /// serve verb's JSON payload.
   std::vector<std::pair<std::string, std::int64_t>> snapshot() const;
-
-  std::size_t size() const;
 
  private:
   struct Metric {

@@ -21,8 +21,8 @@ struct AlgorithmOutcome {
   bool found = true;       ///< false when a search exhausted its budget
   bool exhausted = false;  ///< search space fully explored (solvers)
   std::uint64_t nodes = 0; ///< branch nodes visited (0 for constructions)
-  bool timed_out = false;  ///< the request's deadline expired mid-search
-  bool cancelled = false;  ///< the server's cancel token fired mid-search
+  bool timed_out = false;  ///< the solver's stop: the deadline expired
+  bool cancelled = false;  ///< the solver's stop: the cancel token fired
 };
 
 /// A named cover-producing strategy.
@@ -32,8 +32,11 @@ struct Algorithm {
   /// Cacheable algorithms are deterministic functions of the canonical
   /// request and may be served from the CoverCache.
   bool cacheable = true;
-  /// Produce a cover. May throw std::exception to signal an unsupported
-  /// request (the engine converts it into an error response).
+  /// Produce a cover, checking `req.stop` as it goes. May throw
+  /// util::Interrupted when the stop fires (the engine answers timed
+  /// out), or another std::exception to signal an unsupported request
+  /// (the engine converts it into an error response). The exact solvers
+  /// report a stop in timed_out/cancelled instead of throwing.
   AlgorithmOutcome (*run)(const CoverRequest&) = nullptr;
   /// Optional custom validator (e.g. lambda*K_n demands). When null the
   /// engine validates against the request's demand (K_n by default).

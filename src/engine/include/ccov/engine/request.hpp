@@ -42,15 +42,15 @@ struct CoverRequest {
   /// Wall-clock budget in milliseconds; 0 means none. A wire field (the
   /// JSONL protocol's "deadline_ms"), but NOT part of the canonical cache
   /// key — it bounds this run, not the problem. The engine resolves it
-  /// into `deadline` at execution time when the serve layer has not
+  /// into `stop.deadline` at execution time when the serve layer has not
   /// already fixed one.
   std::uint64_t deadline_ms = 0;
-  /// Absolute deadline, fixed by the serve layer at the moment the
-  /// request was *accepted* — queue wait counts against it, which is
-  /// what makes expired-while-queued load shedding possible.
-  util::Deadline deadline;
-  /// Server-wide cancellation token (SIGINT/SIGTERM); may be null.
-  const util::CancelToken* cancel = nullptr;
+  /// When the algorithm must give up, handed to whichever one runs:
+  /// the absolute deadline, fixed by the serve layer at the moment the
+  /// request was *accepted* (queue wait counts against it, which is what
+  /// makes expired-while-queued load shedding possible), and the
+  /// server-wide cancellation token (SIGINT/SIGTERM; may be null).
+  util::Interrupt stop;
 };
 
 /// Result of running (or cache-resolving) one CoverRequest.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "ccov/covering/cover.hpp"
+#include "ccov/covering/greedy.hpp"
 #include "ccov/util/timer.hpp"
 
 namespace ccov::engine {
@@ -127,9 +128,9 @@ CoverResponse Engine::compute(const CoverRequest& req, const Algorithm* algo,
   // request never pays for it.
   CoverRequest local;
   const CoverRequest* eff = &req;
-  if (!req.deadline.set() && req.deadline_ms > 0) {
+  if (!req.stop.deadline.set() && req.deadline_ms > 0) {
     local = req;
-    local.deadline = util::Deadline::after_ms(
+    local.stop.deadline = util::Deadline::after_ms(
         static_cast<std::int64_t>(req.deadline_ms));
     eff = &local;
   }
@@ -149,20 +150,25 @@ CoverResponse Engine::compute(const CoverRequest& req, const Algorithm* algo,
     else if (out.timed_out)
       timed_out_->add(1);
     // Graceful degradation: a deadline-expired exact solve (solve,
-    // solve-parallel) is answered with the greedy cover instead of a
-    // bare timeout. That greedy run ignores the deadline that just
-    // expired but still stops for shutdown, which exempts cancellation
-    // altogether — its whole point is to finish fast.
+    // solve-parallel; both all-to-all only) is answered with the greedy
+    // cover instead of a bare timeout. That greedy run ignores the
+    // deadline that just expired but still stops for shutdown, which
+    // exempts cancellation altogether — its whole point is to finish
+    // fast.
     if (opts_.fallback_greedy && out.timed_out && !out.cancelled &&
         !resp.found && algo->name.starts_with("solve")) {
-      CoverRequest undeadlined = *eff;
-      undeadlined.deadline = {};
-      AlgorithmOutcome fb = find_algorithm("greedy")->run(undeadlined);
-      resp.cover = std::move(fb.cover);
-      resp.found = resp.degraded = fb.found;
-      if (fb.found) degraded_->add(1);
-      if (fb.cancelled) cancellations_->add(1);
+      resp.cover = covering::greedy_cover(eff->n, {{}, eff->stop.cancel});
+      resp.found = resp.degraded = true;
+      degraded_->add(1);
     }
+  } catch (const util::Interrupted& stop) {
+    // The algorithm, or the greedy fallback, gave up for the request's
+    // stop: an answer without a cover, which is never cached.
+    resp.ok = true;
+    resp.found = resp.degraded = false;
+    resp.timed_out = true;
+    resp.cover = {};
+    (stop.cancelled ? cancellations_ : timed_out_)->add(1);
   } catch (const std::exception& e) {
     resp.error = e.what();
     resp.elapsed_ms = timer.millis();

@@ -111,9 +111,4 @@ std::vector<std::pair<std::string, std::int64_t>> MetricsRegistry::snapshot()
   return out;
 }
 
-std::size_t MetricsRegistry::size() const {
-  util::MutexLock lk(mu_);
-  return metrics_.size();
-}
-
 }  // namespace ccov::engine

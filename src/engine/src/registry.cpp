@@ -31,36 +31,6 @@ std::uint64_t effective_budget(const CoverRequest& req) {
   return req.budget != 0 ? req.budget : covering::rho(req.n);
 }
 
-/// Solver options for this run: the request's search knobs plus its
-/// runtime interruption controls (deadline fixed at accept time, the
-/// server's cancel token).
-covering::SolverOptions runtime_solver_options(const CoverRequest& req) {
-  covering::SolverOptions opts = req.solver;
-  opts.deadline = req.deadline;
-  opts.cancel = req.cancel;
-  return opts;
-}
-
-/// The heuristics' stop conditions, polled once per chosen cycle.
-util::Interrupt interrupt_of(const CoverRequest& req) {
-  return {req.deadline, req.cancel};
-}
-
-/// Run a heuristic that polls interrupt_of(req). When it stops early,
-/// the outcome is a timed-out or cancelled search's: nothing found, and
-/// the engine neither caches it nor falls back.
-template <typename Run>
-AlgorithmOutcome until_interrupted(Run run) {
-  try {
-    return AlgorithmOutcome{run()};
-  } catch (const util::Interrupted& stop) {
-    AlgorithmOutcome out{{}, /*found=*/false};
-    out.timed_out = !stop.cancelled;
-    out.cancelled = stop.cancelled;
-    return out;
-  }
-}
-
 AlgorithmOutcome outcome_from(covering::SolverResult res) {
   AlgorithmOutcome out{std::move(res.cover), res.found, res.exhausted,
                        res.nodes};
@@ -71,38 +41,34 @@ AlgorithmOutcome outcome_from(covering::SolverResult res) {
 
 AlgorithmOutcome run_c4(const CoverRequest& req) {
   require_all_to_all(req, "c4");
-  return until_interrupted([&] {
-    return covering::RingCover{
-        req.n, baselines::greedy_c4_cover(req.n, interrupt_of(req))};
-  });
+  return AlgorithmOutcome{covering::RingCover{
+      req.n, baselines::greedy_c4_cover(req.n, req.stop)}};
 }
 
 AlgorithmOutcome run_construct(const CoverRequest& req) {
   require_all_to_all(req, "construct");
-  return AlgorithmOutcome{covering::build_optimal_cover(req.n)};
+  return AlgorithmOutcome{covering::build_optimal_cover(req.n, req.stop)};
 }
 
 AlgorithmOutcome run_emz(const CoverRequest& req) {
   require_all_to_all(req, "emz");
-  return until_interrupted(
-      [&] { return covering::greedy_cover(req.n, interrupt_of(req)); });
+  return AlgorithmOutcome{covering::greedy_cover(req.n, req.stop)};
 }
 
 AlgorithmOutcome run_greedy(const CoverRequest& req) {
   if (req.lambda != 1)
     throw std::invalid_argument("greedy: lambda != 1 is not supported");
-  return until_interrupted([&] {
-    if (req.demand.empty())
-      return covering::greedy_cover(req.n, interrupt_of(req));
-    return covering::greedy_cover_demand(
-        req.n, demand_graph(req.n, req.demand), interrupt_of(req));
-  });
+  if (req.demand.empty())
+    return AlgorithmOutcome{covering::greedy_cover(req.n, req.stop)};
+  return AlgorithmOutcome{covering::greedy_cover_demand(
+      req.n, demand_graph(req.n, req.demand), req.stop)};
 }
 
 AlgorithmOutcome run_lambda(const CoverRequest& req) {
   if (!req.demand.empty())
     throw std::invalid_argument("lambda: explicit demands are not supported");
-  return AlgorithmOutcome{covering::build_lambda_cover(req.n, req.lambda)};
+  return AlgorithmOutcome{
+      covering::build_lambda_cover(req.n, req.lambda, req.stop)};
 }
 
 bool validate_lambda(const CoverRequest& req,
@@ -113,22 +79,19 @@ bool validate_lambda(const CoverRequest& req,
 AlgorithmOutcome run_solve(const CoverRequest& req) {
   require_all_to_all(req, "solve");
   return outcome_from(covering::solve_with_budget(
-      req.n, effective_budget(req), runtime_solver_options(req)));
+      req.n, effective_budget(req), req.solver, req.stop));
 }
 
 AlgorithmOutcome run_solve_parallel(const CoverRequest& req) {
   require_all_to_all(req, "solve-parallel");
   return outcome_from(covering::solve_with_budget_parallel(
-      req.n, effective_budget(req), runtime_solver_options(req),
-      req.threads));
+      req.n, effective_budget(req), req.solver, req.threads, req.stop));
 }
 
 AlgorithmOutcome run_triple(const CoverRequest& req) {
   require_all_to_all(req, "triple");
-  return until_interrupted([&] {
-    return covering::RingCover{
-        req.n, baselines::greedy_triple_cover(req.n, interrupt_of(req))};
-  });
+  return AlgorithmOutcome{covering::RingCover{
+      req.n, baselines::greedy_triple_cover(req.n, req.stop)}};
 }
 
 constexpr bool sorted_and_unique(const std::array<Algorithm, 8>& table) {

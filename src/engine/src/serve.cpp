@@ -492,7 +492,7 @@ int serve_session(ServeStream& raw_io, Engine& engine,
     json::JsonWriter w;
     // Deadline-aware load shedding: a request whose deadline expired
     // while it was queued is answered in-band without solving.
-    if (s.req.deadline.expired()) {
+    if (s.req.stop.deadline.expired()) {
       m_shed.add(1);
       render_response_line(w, s.id, shed_response(s.req));
     } else if (const std::optional<CoverResponse> resp = engine.answer(
@@ -603,9 +603,9 @@ int serve_session(ServeStream& raw_io, Engine& engine,
         if (s.req.deadline_ms == 0)
           s.req.deadline_ms = config.default_deadline_ms;
         if (s.req.deadline_ms > 0)
-          s.req.deadline = util::Deadline::after_ms(
+          s.req.stop.deadline = util::Deadline::after_ms(
               static_cast<std::int64_t>(s.req.deadline_ms));
-        s.req.cancel = config.cancel;
+        s.req.stop.cancel = config.cancel;
         s.ck = canonical_request_key(s.req);
         if (++pending_requests >= batch) alive = flush();
       } else {

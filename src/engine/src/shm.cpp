@@ -161,8 +161,11 @@ class ShmSessionStream final : public ServeStream {
       if (client_eof())
         return static_cast<std::ptrdiff_t>(req_.try_read(buf, n));
       // A hang-up after eof loops back to drain; one without it is a
-      // client that died mid-session.
-      if (!req_.wait_readable(kWaitMs) && hung_up(sock_) && !client_eof())
+      // client that died mid-session. The wait rechecks the flag itself,
+      // after the wake-up sequence, so eof raised just after the check
+      // above ends the wait at once.
+      if (!req_.wait_readable(kWaitMs, &header_->client_eof) &&
+          hung_up(sock_) && !client_eof())
         return 0;
     }
   }
@@ -336,9 +339,11 @@ std::size_t ShmClient::read_some(std::string* out) {
     if (server_finished()) return drain_available(out);
     // Probe the socket only when a wait timed out, so the steady state
     // pays no syscall for it. The server raises server_eof before it
-    // hangs up, so a hang-up after it loops back to drain.
-    if (!response_ring_.wait_readable(kWaitMs) && hung_up(sock_) &&
-        !server_finished())
+    // hangs up, so a hang-up after it loops back to drain. The wait
+    // rechecks server_eof after the wake-up sequence, so a flag raised
+    // just after the check above ends the wait at once.
+    if (!response_ring_.wait_readable(kWaitMs, &header_->server_eof) &&
+        hung_up(sock_) && !server_finished())
       return 0;
   }
 }

@@ -93,20 +93,10 @@ class JsonWriter {
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   /// Quoted and escaped.
   JsonWriter& value_string(std::string_view v);
-  /// Pre-rendered JSON spliced in verbatim (still comma-managed).
-  JsonWriter& value_raw(std::string_view v);
 
   /// Pre-size the output buffer — a renderer that knows roughly how big
   /// the document will be skips the geometric-growth reallocations.
   void reserve(std::size_t n) { out_.reserve(n); }
-
-  /// Drop the buffered text and any open-container state, keeping the
-  /// buffer's capacity — a hot loop reuses one writer allocation-free.
-  void clear() {
-    out_.clear();
-    has_element_.clear();
-    after_key_ = false;
-  }
 
   const std::string& str() const { return out_; }
   std::string take() { return std::move(out_); }

@@ -105,11 +105,16 @@ class ShmByteRing {
   /// empty); frees the space with release and wakes a sleeping producer.
   std::size_t try_read(char* buf, std::size_t n);
 
-  /// Block until data is readable or ~timeout_ms elapsed (-1 = no
-  /// deadline). Returns readable() > 0 — a false return is a timeout,
-  /// after which callers re-check their own exit conditions (shutdown,
-  /// peer death) and call again. Spurious early returns are allowed.
-  bool wait_readable(int timeout_ms);
+  /// Block until data is readable, `*done` (the producer's end-of-stream
+  /// flag, when given) is nonzero, or ~timeout_ms elapsed (-1 = no
+  /// deadline). Returns whether data or the flag is there — a false
+  /// return is a timeout, after which callers re-check their own exit
+  /// conditions (shutdown, peer death) and call again. Spurious early
+  /// returns are allowed. The flag is read after the wake-up sequence
+  /// number, so a producer that raises it and then calls wake_all()
+  /// never leaves this wait asleep until the timeout.
+  bool wait_readable(int timeout_ms,
+                     const std::atomic<std::uint32_t>* done = nullptr);
 
   /// Blocking counterpart for a full ring (backpressure).
   bool wait_writable(int timeout_ms);

@@ -2,10 +2,9 @@
 /// \file timer.hpp
 /// Monotonic wall-clock stopwatch for coarse measurements in table harnesses
 /// (google-benchmark is used for the statistically careful measurements),
-/// plus the cooperative-interruption primitives the serve stack threads
-/// into the solver hot loop and the heuristics' step loops: a
-/// steady_clock Deadline, an atomic CancelToken, and the Interrupt that
-/// polls both between steps.
+/// plus the cooperative-interruption primitives every algorithm checks
+/// between steps: a steady_clock Deadline, an atomic CancelToken, and the
+/// Interrupt that bundles both into one stop condition.
 
 #include <atomic>
 #include <chrono>
@@ -18,15 +17,12 @@ class Timer {
  public:
   Timer() : start_(clock::now()) {}
 
-  void reset() { start_ = clock::now(); }
-
-  /// Elapsed seconds since construction or the last reset().
+  /// Elapsed seconds since construction.
   double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
   double millis() const { return seconds() * 1e3; }
-  double micros() const { return seconds() * 1e6; }
 
  private:
   using clock = std::chrono::steady_clock;
@@ -61,23 +57,15 @@ class Deadline {
   /// expires. The clock read happens only when set.
   bool expired() const { return set_ && clock::now() >= at_; }
 
-  /// Milliseconds until expiry (<= 0 when expired). Meaningless on an
-  /// unset deadline; callers check set() first.
-  std::int64_t remaining_ms() const {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(at_ -
-                                                                 clock::now())
-        .count();
-  }
-
  private:
   clock::time_point at_{};
   bool set_ = false;
 };
 
 /// One-way cancellation flag, safe to set from a signal handler (the
-/// store is a lock-free atomic). The solver polls it every few
-/// thousand nodes; serve installs one per server so SIGTERM bounds
-/// shutdown latency regardless of how deep a search is.
+/// store is a lock-free atomic). Every algorithm checks it through an
+/// Interrupt; serve installs one per server so SIGTERM bounds shutdown
+/// latency regardless of what a request is computing.
 class CancelToken {
  public:
   CancelToken() = default;
@@ -91,30 +79,37 @@ class CancelToken {
     return cancelled_.load(std::memory_order_relaxed);
   }
 
-  /// Tests re-arm a shared token between cases; production never does.
-  void reset() noexcept { cancelled_.store(false, std::memory_order_relaxed); }
-
  private:
   std::atomic<bool> cancelled_{false};
 };
 
 /// Thrown by Interrupt::poll: the work stopped before it finished.
+/// Engine::compute turns it into the timed-out or cancelled answer.
 struct Interrupted : std::exception {
   explicit Interrupted(bool by_cancel) : cancelled(by_cancel) {}
   const char* what() const noexcept override { return "interrupted"; }
   bool cancelled;  ///< the token fired; otherwise the deadline passed
 };
 
-/// When a step-wise loop (the greedy heuristics) must give up: a
-/// deadline, a cancel token, or both. Default-constructed never fires,
-/// and then a poll costs two branches and no clock read.
+/// When a piece of work must give up: a deadline, a cancel token, or
+/// both. One travels with every request to whichever algorithm runs it.
+/// Default-constructed never fires, and then a check costs two branches
+/// and no clock read.
 struct Interrupt {
   Deadline deadline;
   const CancelToken* cancel = nullptr;
 
-  /// Throws Interrupted once the token fired or the deadline passed.
+  bool cancelled() const noexcept {
+    return cancel != nullptr && cancel->cancelled();
+  }
+
+  /// True once the token fired or the deadline passed; for loops that
+  /// report a stop in their result instead of throwing (the solver).
+  bool fired() const { return cancelled() || deadline.expired(); }
+
+  /// Throws Interrupted once fired().
   void poll() const {
-    if (cancel != nullptr && cancel->cancelled()) throw Interrupted(true);
+    if (cancelled()) throw Interrupted(true);
     if (deadline.expired()) throw Interrupted(false);
   }
 };

@@ -314,10 +314,4 @@ JsonWriter& JsonWriter::value_string(std::string_view v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::value_raw(std::string_view v) {
-  comma_for_value();
-  out_ += v;
-  return *this;
-}
-
 }  // namespace ccov::util::json

@@ -176,15 +176,20 @@ std::size_t ShmByteRing::try_read(char* buf, std::size_t n) {
   return m;
 }
 
-bool ShmByteRing::wait_readable(int timeout_ms) {
+bool ShmByteRing::wait_readable(int timeout_ms,
+                                const std::atomic<std::uint32_t>* done) {
   // Fault-injection seam, delay-only: a delay here widens the
   // sleep/publish race windows chaos tests probe. "Failing" a wait has
   // no meaning, so an error spec is deliberately ignored.
   (void)CCOV_FAILPOINT("futex_wait");
   Control* c = ctrl_;
+  const auto ready = [&] {
+    return readable() > 0 ||
+           (done != nullptr && done->load(std::memory_order_acquire) != 0);
+  };
   if (spin_helps()) {
     for (int i = 0; i < kSpinIterations; ++i) {
-      if (readable() > 0) return true;
+      if (ready()) return true;
       cpu_relax();
     }
   }
@@ -192,13 +197,15 @@ bool ShmByteRing::wait_readable(int timeout_ms) {
   // this is the whole ping-pong; on many it covers the window where
   // the peer was preempted mid-publish.
   for (int i = 0; i < kYieldIterations; ++i) {
-    if (readable() > 0) return true;
+    if (ready()) return true;
     std::this_thread::yield();
   }
+  // A flag raised before wake_all()'s bump is visible once this load
+  // sees the bump; a bump it misses makes the futex wait return.
   const std::uint32_t seq = c->data_seq.load(std::memory_order_seq_cst);
-  if (readable() > 0) return true;
+  if (ready()) return true;
   wait_on(&c->data_seq, &c->data_waiters, seq, timeout_ms);
-  return readable() > 0;
+  return ready();
 }
 
 bool ShmByteRing::wait_writable(int timeout_ms) {

@@ -118,3 +118,36 @@ TEST(Baselines, DrcOptimalBeatsTripleCountAsymptotically) {
                        static_cast<double>(covering::rho(n));
   EXPECT_NEAR(ratio, 4.0 / 3.0, 0.08);
 }
+
+namespace {
+
+/// FNV-1a over every n's cover, cycle by cycle, so any change to which
+/// cycles a greedy baseline picks, or in what order, changes the value.
+template <typename Greedy>
+std::uint64_t cover_digest(Greedy greedy) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  for (std::uint32_t n = 5; n <= 40; ++n) {
+    mix(n);
+    for (const covering::Cycle& c : greedy(n)) {
+      mix(c.size());
+      for (const covering::Vertex v : c) mix(v);
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
+TEST(Baselines, GreedyCoversArePinnedForNFrom5To40) {
+  // Pinned against the std::set implementation both greedy baselines
+  // had before they moved to ChordBitset: same cycles, same order.
+  EXPECT_EQ(cover_digest([](std::uint32_t n) { return greedy_c4_cover(n); }),
+            3806137070583688210ull);
+  EXPECT_EQ(
+      cover_digest([](std::uint32_t n) { return greedy_triple_cover(n); }),
+      12701283872482559808ull);
+}

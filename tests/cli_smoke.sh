@@ -421,6 +421,16 @@ if echo "${GR_OUT}" | grep -q '"degraded"'; then
 fi
 [ "${ELAPSED_MS}" -lt 2000 ] \
   || fail "greedy with a 500ms deadline answered after ${ELAPSED_MS}ms"
+# construct polls once per induction step: at n=5793 it runs for tens of
+# seconds and answers an ~89 MB line without a deadline.
+CONSTRUCT_REQ='{"algo":"construct","n":5793,"deadline_ms":500}'
+T0=$(date +%s%N)
+CO_OUT=$(echo "${CONSTRUCT_REQ}" | "${CCOV}" serve 2>/dev/null)
+ELAPSED_MS=$(( ( $(date +%s%N) - T0 ) / 1000000 ))
+echo "${CO_OUT}" | grep -q '"timed_out":true' \
+  || fail "construct past its deadline should answer timed_out:true: ${CO_OUT:0:200}"
+[ "${ELAPSED_MS}" -lt 2000 ] \
+  || fail "construct with a 500ms deadline answered after ${ELAPSED_MS}ms"
 DL_SNAP="${TMPDIR_SMOKE}/deadline_store.bin"
 echo "${DL_REQ}" | "${CCOV}" serve --cache-file "${DL_SNAP}" >/dev/null 2>&1 \
   || fail "serve with an expired deadline should still exit 0"
@@ -455,6 +465,22 @@ ELAPSED_MS=$(( ( $(date +%s%N) - T0 ) / 1000000 ))
   || fail "stdio SIGTERM shutdown took ${ELAPSED_MS}ms (in-flight solve not cancelled?)"
 "${CCOV}" cache load --cache-file "${TERM_SNAP}" | grep -q "snapshot ok" \
   || fail "snapshot saved during stdio SIGTERM shutdown should load cleanly"
+
+echo "== SIGTERM mid-construct: bounded shutdown (stdio)"
+CO_IN="${TMPDIR_SMOKE}/construct_in"
+mkfifo "${CO_IN}"
+"${CCOV}" serve < "${CO_IN}" > /dev/null 2>&1 &
+CO_PID=$!
+exec 8> "${CO_IN}"
+printf '%s\n' '{"algo":"construct","n":5793}' >&8
+sleep 1  # the construction is now about a second into its induction
+T0=$(date +%s%N)
+kill -TERM "${CO_PID}"
+wait "${CO_PID}" || fail "stdio serve should exit 0 on SIGTERM mid-construct"
+exec 8>&-
+ELAPSED_MS=$(( ( $(date +%s%N) - T0 ) / 1000000 ))
+[ "${ELAPSED_MS}" -lt 2000 ] \
+  || fail "SIGTERM mid-construct shutdown took ${ELAPSED_MS}ms (construct not cancelled?)"
 
 echo "== SIGTERM mid-solve: bounded shutdown, loadable snapshot (TCP)"
 TERM_TCP_SNAP="${TMPDIR_SMOKE}/term_tcp_store.bin"

@@ -143,14 +143,13 @@ TEST(Json, WriterEscapesStringsLikeTheProtocol) {
   EXPECT_EQ(out, "\"a\\rb\"");
 }
 
-TEST(Json, WriterEmitsEmptyContainersAndRawSplices) {
+TEST(Json, WriterEmitsEmptyContainers) {
   json::JsonWriter w;
   w.begin_object()
       .key("empty_obj").begin_object().end_object()
       .key("empty_arr").begin_array().end_array()
-      .key("raw").value_raw("[1,2]")
       .end_object();
-  EXPECT_EQ(w.str(), R"({"empty_obj":{},"empty_arr":[],"raw":[1,2]})");
+  EXPECT_EQ(w.str(), R"({"empty_obj":{},"empty_arr":[]})");
 }
 
 TEST(Json, WriterHandlesIntegerExtremes) {

@@ -32,10 +32,10 @@ TEST(Metrics, CountersAndGaugesHoldValues) {
   g.add(5);
   g.add(-2);
   EXPECT_EQ(g.value(), 3);
-  g.set(-7);
+  g.add(-10);
   EXPECT_EQ(g.value(), -7);
 
-  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_EQ(reg.snapshot().size(), 2u);
   EXPECT_EQ(reg.value("events_total"), 42);
   EXPECT_EQ(reg.value("level"), -7);
   EXPECT_EQ(reg.value("no_such_series"), -1);
@@ -66,7 +66,7 @@ TEST(Metrics, RejectsInvalidNamesAndKindMismatches) {
 
 TEST(Metrics, RenderIsSortedValidPrometheusText) {
   eng::MetricsRegistry reg;
-  reg.gauge("zeta", "last alphabetically").set(1);
+  reg.gauge("zeta", "last alphabetically").add(1);
   reg.counter("alpha_total", "first alphabetically").add(3);
   const std::string text = reg.render_prometheus();
 
@@ -179,7 +179,7 @@ TEST(Metrics, GoldenRenderOfAFreshEngineAfterOneRequest) {
 TEST(Metrics, SnapshotMatchesRenderedValues) {
   eng::MetricsRegistry reg;
   reg.counter("b_total", "h").add(2);
-  reg.gauge("a_level", "h").set(-4);
+  reg.gauge("a_level", "h").add(-4);
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].first, "a_level");

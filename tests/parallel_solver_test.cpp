@@ -97,10 +97,8 @@ TEST(ParallelSolver, AnAlreadyCancelledTokenStopsEveryWorkerAlmostImmediately) {
   // claims another root subtree.
   ccov::util::CancelToken tok;
   tok.cancel();
-  SolverOptions opts;
-  opts.cancel = &tok;
   const std::size_t threads = 4;
-  const auto res = solve_with_budget_parallel(10, 13, opts, threads);
+  const auto res = solve_with_budget_parallel(10, 13, {}, threads, {{}, &tok});
   EXPECT_TRUE(res.cancelled);
   EXPECT_FALSE(res.found);
   EXPECT_FALSE(res.exhausted);

@@ -161,6 +161,26 @@ TEST(ShmRing, BackpressureBlocksUntilDrained) {
   EXPECT_EQ(got, kTotal);
 }
 
+TEST(ShmRing, WaitSeesAnEndFlagRaisedJustBeforeIt) {
+  // A producer's last steps are: raise its end-of-stream flag, then
+  // wake_all(). A consumer that checked the flag just before that and
+  // only then waits must return at once, not sleep out its timeout.
+  constexpr std::size_t kCap = 64;
+  std::vector<char> region = ring_region(kCap);
+  ShmByteRing ring = ShmByteRing::init(aligned_base(region), kCap);
+  ASSERT_TRUE(ring.valid());
+  std::atomic<std::uint32_t> eof{0};
+  eof.store(1, std::memory_order_release);
+  ring.wake_all();
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(ring.wait_readable(2000, &eof));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+  // The flag, not data, ended the wait.
+  EXPECT_EQ(ring.readable(), 0u);
+  EXPECT_FALSE(ring.wait_readable(0));
+}
+
 TEST(ShmRing, TwoThreadHammer) {
   // Variable-sized writes against variable-sized reads, checked as one
   // continuous byte stream. Run under TSan this doubles as the data-race

@@ -386,6 +386,5 @@ TEST(OrderedPipeline, DestructorRunsTheRemainingQueue) {
 TEST(Timer, MeasuresNonNegative) {
   cu::Timer t;
   EXPECT_GE(t.seconds(), 0.0);
-  t.reset();
-  EXPECT_GE(t.micros(), 0.0);
+  EXPECT_GE(t.millis(), 0.0);
 }
