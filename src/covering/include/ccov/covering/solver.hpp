@@ -32,7 +32,10 @@ struct SolverResult {
                                ///< infeasibility when !found)
   bool timed_out = false;      ///< the stop's deadline expired mid-search
   bool cancelled = false;      ///< the stop's cancel token fired mid-search
-  std::uint64_t nodes = 0;     ///< branch nodes visited
+  std::uint64_t nodes = 0;     ///< branch nodes counted; a child that the
+                               ///< budget or the capacity prune ends at
+                               ///< once is counted at its parent without
+                               ///< being entered
   RingCover cover;             ///< witness when found
 };
 
@@ -74,7 +77,7 @@ namespace detail {
 /// chord (a, b) of K_n in the initial (all-uncovered) state — duplicate
 /// free, every cycle containing (a, b) as an edge, ordered by freshness
 /// (stable on the lexicographic generation order). Allocates; the real
-/// search writes the same sequence into a preallocated arena.
+/// search keeps the same order as indices into its per-depth scratch.
 std::vector<Cycle> candidate_cycles(std::uint32_t n, Vertex a, Vertex b,
                                     const SolverOptions& opts = {});
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <deque>
 #include <limits>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -94,24 +94,26 @@ struct Search {
   std::size_t root_index = 0;  // root subtree being searched
 
   // Per-depth scratch. Candidates are generated into gen[] in
-  // lexicographic order, then stable-bucketed by freshness into
-  // ordered[]. The constructor sizes the arena for the whole search,
-  // so the steady-state DFS performs no allocation and references into
-  // the arena are never invalidated by deeper levels.
+  // lexicographic order; tag[i] holds gen[i]'s freshness and whether its
+  // child is a dead end, and order[] lists the gen[] indices stable-
+  // bucketed by freshness. A depth's buffers are reserved for the largest
+  // candidate list the first time the DFS reaches it, so the steady-state
+  // DFS performs no allocation and the arena grows only as deep as the
+  // search goes. A shallower dfs frame still reads its own depth's
+  // scratch while deeper ones are added, hence a deque: growing it never
+  // moves an element.
+  static constexpr std::uint8_t kFreshMask = 0x7;  // freshness is in [0, 4]
+  static constexpr std::uint8_t kDead = 0x8;
   struct DepthScratch {
     std::vector<SmallCycle> gen;
-    std::vector<std::uint8_t> fresh;
-    std::vector<SmallCycle> ordered;
+    std::vector<std::uint8_t> tag;
+    std::vector<std::uint32_t> order;
   };
-  std::vector<DepthScratch> arena;
+  std::deque<DepthScratch> arena;
 
-  /// The empty state, with every per-depth scratch buffer and the chosen
-  /// stack preallocated for a search of at most `budget` cycles. Each
-  /// chosen cycle covers at least one new chord (every candidate contains
-  /// the branching chord), so the DFS depth is also bounded by the chord
-  /// count.
+  /// The empty state; no depth's scratch is allocated yet.
   Search(std::uint32_t nn, const SolverOptions& o,
-         const util::Interrupt& in, Shared* sh, std::uint64_t budget)
+         const util::Interrupt& in, Shared* sh)
       : n(nn),
         r(nn),
         opts(o),
@@ -122,20 +124,22 @@ struct Search {
     uncovered.set_all_chords();
     for (Vertex a = 0; a < n; ++a)
       for (Vertex b = a + 1; b < n; ++b) remaining_load += r.dist(a, b);
-    const std::uint64_t chords =
-        static_cast<std::uint64_t>(n) * (n - 1) / 2;
-    const std::size_t depth_cap =
-        static_cast<std::size_t>(budget < chords ? budget : chords);
-    chosen.reserve(depth_cap);
-    arena.resize(depth_cap);
-    // Largest candidate list: n-2 triangles plus quads whose two extra
-    // vertices share one of the two open arcs.
-    const std::size_t m = n - 2, cap = m + m * (m - 1) / 2;
-    for (DepthScratch& s : arena) {
+  }
+
+  /// The scratch of `depth`, allocated on first use. Parallel helpers
+  /// start at depth 1 and never allocate depth 0.
+  DepthScratch& scratch(std::size_t depth) {
+    if (depth >= arena.size()) {
+      arena.resize(depth + 1);
+      // Largest candidate list: n-2 triangles plus quads whose two extra
+      // vertices share one of the two open arcs.
+      const std::size_t m = n - 2, cap = m + m * (m - 1) / 2;
+      DepthScratch& s = arena.back();
       s.gen.reserve(cap);
-      s.fresh.reserve(cap);
-      s.ordered.reserve(cap);
+      s.tag.reserve(cap);
+      s.order.reserve(cap);
     }
+    return arena[depth];
   }
 
   void apply(const SmallCycle& c, int delta) {
@@ -157,10 +161,15 @@ struct Search {
     });
   }
 
-  int fresh(const SmallCycle& c) const {
-    int f = 0;
-    for_each_chord(c, [&](Vertex a, Vertex b) { f += uncovered.test(a, b); });
-    return f;
+  /// True when no witness lies below a node with `load` > 0 arc length
+  /// still uncovered and `budget` cycles left: none is left, or the
+  /// capacity prune fires. Each further cycle supplies exactly n units of
+  /// arc length, and every uncovered chord costs at least its minor
+  /// distance.
+  bool dead_end(std::uint64_t load, std::uint64_t budget) const {
+    return budget == 0 ||
+           (opts.use_capacity_prune &&
+            util::ceil_div<std::uint64_t>(load, n) > budget);
   }
 
   /// Candidate circularly ordered cycles (sizes 3..4, capped by
@@ -197,17 +206,30 @@ struct Search {
     }
   }
 
-  /// Stable bucket sort by freshness, descending — the same ordering the
+  /// Tag each candidate of a node with `budget` >= 1 cycles left, then
+  /// stable bucket sort by freshness, descending — the same ordering the
   /// former std::stable_sort over the lex-sorted list produced, pinned
   /// by the golden node-count tests. Freshness of a C3/C4 is in [0, 4].
-  std::size_t order_candidates(DepthScratch& s) const {
+  /// The same pass sums each candidate's fresh load, which settles
+  /// whether choosing it leads to a dead end: a child that would leave
+  /// chords uncovered with no witness below it.
+  void order_candidates(DepthScratch& s, std::uint64_t budget) const {
     const std::size_t k = s.gen.size();
-    s.fresh.resize(k);
-    s.ordered.resize(k);
+    s.tag.resize(k);
+    s.order.resize(k);
     std::size_t cnt[5] = {0, 0, 0, 0, 0};
     for (std::size_t i = 0; i < k; ++i) {
-      const int f = fresh(s.gen[i]);
-      s.fresh[i] = static_cast<std::uint8_t>(f);
+      std::uint8_t f = 0;
+      std::uint64_t load = 0;
+      for_each_chord(s.gen[i], [&](Vertex a, Vertex b) {
+        if (uncovered.test(a, b)) {
+          ++f;
+          load += r.dist(a, b);
+        }
+      });
+      const bool dead =
+          load != remaining_load && dead_end(remaining_load - load, budget - 1);
+      s.tag[i] = static_cast<std::uint8_t>(f | (dead ? kDead : 0));
       ++cnt[f];
     }
     std::size_t off[5];
@@ -216,8 +238,8 @@ struct Search {
       off[f] = acc;
       acc += cnt[f];
     }
-    for (std::size_t i = 0; i < k; ++i) s.ordered[off[s.fresh[i]]++] = s.gen[i];
-    return k;
+    for (std::size_t i = 0; i < k; ++i)
+      s.order[off[s.tag[i] & kFreshMask]++] = static_cast<std::uint32_t>(i);
   }
 
   /// Count one branch node against the shared budget; false aborts the
@@ -251,25 +273,21 @@ struct Search {
   }
 
   /// Visit one branch node with `budget` cycles left: count it, then
-  /// finish on a witness, a stop, the zero-budget exit or the capacity
-  /// prune (returning no candidates), or else return the candidates for
-  /// the first uncovered chord in branching order.
-  std::span<const SmallCycle> expand(std::uint64_t budget) {
-    if (!consume_node()) return {};
+  /// finish on a witness, a stop or a dead end (returning null), or else
+  /// return the scratch holding the candidates for the first uncovered
+  /// chord, tagged and in branching order.
+  const DepthScratch* expand(std::uint64_t budget) {
+    if (!consume_node()) return nullptr;
     Vertex a = 0, b = 0;
     if (!uncovered.first(a, b)) {
       record_witness();
-      return {};
+      return nullptr;
     }
-    if (budget == 0) return {};
-    // Capacity prune: each further cycle supplies exactly n units of arc
-    // length, every uncovered chord costs at least its minor distance.
-    if (opts.use_capacity_prune &&
-        util::ceil_div<std::uint64_t>(remaining_load, n) > budget)
-      return {};
-    DepthScratch& s = arena[chosen.size()];
+    if (dead_end(remaining_load, budget)) return nullptr;
+    DepthScratch& s = scratch(chosen.size());
     generate(a, b, s);
-    return {s.ordered.data(), order_candidates(s)};
+    order_candidates(s, budget);
+    return &s;
   }
 
   /// Choose `c` below a node with `budget` cycles left and search on;
@@ -283,12 +301,21 @@ struct Search {
     return false;
   }
 
+  /// Search below a node with `budget` cycles left. A dead-end child is
+  /// counted here without being entered: expand would count it and stop
+  /// on the same dead_end test.
   bool dfs(std::uint64_t budget) {
-    for (const SmallCycle& c : expand(budget)) {
-      if (descend(c, budget)) return true;
+    const DepthScratch* s = expand(budget);
+    if (s == nullptr) return found;
+    for (const std::uint32_t i : s->order) {
+      if (s->tag[i] & kDead) {
+        if (!consume_node()) return false;
+        continue;
+      }
+      if (descend(s->gen[i], budget)) return true;
       if (stop != Stop::kNone) return false;
     }
-    return found;
+    return false;
   }
 };
 
@@ -303,15 +330,15 @@ struct Subtree {
 /// none is left or one ends early (a witness or a stop). Then no worker
 /// claims another: every later index would lose to the witness, and
 /// after a stop the search is no proof anyway.
-void claim_subtrees(Search& s, std::span<const SmallCycle> roots,
+void claim_subtrees(Search& s, const Search::DepthScratch* root,
                     std::uint64_t budget, std::vector<Subtree>& out) {
   Shared& sh = *s.shared;
   while (!sh.halted.load(std::memory_order_relaxed)) {
     const std::size_t i = sh.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= roots.size()) break;
+    if (i >= out.size()) break;
     s.root_index = i;
     const std::uint64_t before = s.nodes;
-    const bool ok = s.descend(roots[i], budget);
+    const bool ok = s.descend(root->gen[root->order[i]], budget);
     out[i].nodes = s.nodes - before;
     out[i].stop = s.stop;
     if (!ok && s.stop == Stop::kNone) continue;
@@ -329,38 +356,38 @@ void claim_subtrees(Search& s, std::span<const SmallCycle> roots,
 
 /// The one search routine. The caller's Search visits the root node, whose
 /// candidates (every cycle through chord (0, 1)) become the root
-/// subtrees. `workers` Searches then claim them: the caller's, plus one
-/// per pool thread when workers > 1. A one-worker run is the plain serial
-/// DFS and starts no thread.
+/// subtrees; each is descended, dead end or not. `workers` Searches then
+/// claim them: the caller's, plus one per pool thread when workers > 1.
+/// A one-worker run is the plain serial DFS and starts no thread.
 SolverResult run_search(std::uint32_t n, std::uint64_t budget,
                         const SolverOptions& opts, std::size_t workers,
                         const util::Interrupt& stop) {
   if (n < 3) throw std::invalid_argument("solve: n >= 3 required");
   Shared shared(opts.max_nodes);
-  Search lead(n, opts, stop, &shared, budget);
-  const std::span<const SmallCycle> roots = lead.expand(budget);
+  Search lead(n, opts, stop, &shared);
+  const Search::DepthScratch* root = lead.expand(budget);
   SolverResult res;
   res.nodes = lead.nodes;
   bool clean = lead.stop == Stop::kNone;
 
-  std::vector<Subtree> out(roots.size());
+  std::vector<Subtree> out(root == nullptr ? 0 : root->order.size());
   // Never more workers than cores. The witness and node count do not
   // depend on the worker count while nothing stops.
   const std::size_t cores =
       std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
   if (workers == 0 || workers > cores) workers = cores;
   const std::size_t helpers =
-      std::max<std::size_t>(std::min(workers, roots.size()), 1) - 1;
+      std::max<std::size_t>(std::min(workers, out.size()), 1) - 1;
   {
     std::optional<util::ThreadPool> pool;
     util::TaskGroup group;
     if (helpers > 0) pool.emplace(helpers);
     for (std::size_t k = 0; k < helpers; ++k)
       pool->submit(group, [&] {
-        Search s(n, opts, stop, &shared, budget);
-        claim_subtrees(s, roots, budget, out);
+        Search s(n, opts, stop, &shared);
+        claim_subtrees(s, root, budget, out);
       });
-    claim_subtrees(lead, roots, budget, out);
+    claim_subtrees(lead, root, budget, out);
     group.wait();
   }
 
@@ -426,14 +453,14 @@ namespace detail {
 
 std::vector<Cycle> candidate_cycles(std::uint32_t n, Vertex a, Vertex b,
                                     const SolverOptions& opts) {
-  Search s(n, opts, {}, nullptr, 0);
-  Search::DepthScratch scratch;
+  Search s(n, opts, {}, nullptr);
+  Search::DepthScratch& scratch = s.scratch(0);
   s.generate(a, b, scratch);
-  const std::size_t k = s.order_candidates(scratch);
+  s.order_candidates(scratch, 1);
   std::vector<Cycle> out;
-  out.reserve(k);
-  for (std::size_t i = 0; i < k; ++i)
-    out.push_back(scratch.ordered[i].to_cycle());
+  out.reserve(scratch.order.size());
+  for (const std::uint32_t i : scratch.order)
+    out.push_back(scratch.gen[i].to_cycle());
   return out;
 }
 

@@ -20,7 +20,7 @@ struct AlgorithmOutcome {
   covering::RingCover cover;
   bool found = true;       ///< false when a search exhausted its budget
   bool exhausted = false;  ///< search space fully explored (solvers)
-  std::uint64_t nodes = 0; ///< branch nodes visited (0 for constructions)
+  std::uint64_t nodes = 0; ///< branch nodes counted (0 for constructions)
   bool timed_out = false;  ///< the solver's stop: the deadline expired
   bool cancelled = false;  ///< the solver's stop: the cancel token fired
 };

@@ -62,7 +62,7 @@ struct CoverResponse {
   covering::RingCover cover; ///< the produced cover (when ok && found)
   bool found = false;        ///< a cover was produced within the budget
   bool exhausted = false;    ///< search space fully explored (solvers)
-  std::uint64_t nodes = 0;   ///< branch nodes visited; 0 on cache hits
+  std::uint64_t nodes = 0;   ///< branch nodes counted; 0 on cache hits
   bool validated = false;    ///< validation was requested and performed
   bool valid = false;        ///< validation verdict (when validated)
   bool cache_hit = false;    ///< served from the CoverCache

@@ -437,6 +437,22 @@ echo "${DL_REQ}" | "${CCOV}" serve --cache-file "${DL_SNAP}" >/dev/null 2>&1 \
 "${CCOV}" cache stats --cache-file "${DL_SNAP}" | grep -q "entries: 0" \
   || fail "a timed-out answer must never be cached"
 
+echo "== a capped solve at large n allocates only the depths it reaches"
+# The search's per-depth scratch holds ~n^2/2 candidates; sized for every
+# depth up front, n=400 needed several GB of address space for a
+# 1000-node search. ASan and TSan reserve terabytes of shadow address
+# space, so a sanitized binary cannot run under ulimit -v at all.
+if LC_ALL=C grep -qaE '__(asan|tsan)_init' "${CCOV}"; then
+  echo "(skipped: sanitized binary)"
+else
+  CAP_OUT=$( (ulimit -v 1048576
+    echo '{"algo":"solve","n":400,"max_nodes":1000}' | "${CCOV}" serve) 2>/dev/null)
+  echo "${CAP_OUT}" | grep -q '"ok":true' \
+    || fail "capped n=400 solve should answer under a 1 GiB address limit: ${CAP_OUT}"
+  echo "${CAP_OUT}" | grep -q '"nodes":1001' \
+    || fail "capped n=400 solve should count max_nodes + 1 nodes: ${CAP_OUT}"
+fi
+
 echo "== SIGTERM mid-solve: bounded shutdown, loadable snapshot (stdio)"
 TERM_SNAP="${TMPDIR_SMOKE}/term_store.bin"
 TERM_IN="${TMPDIR_SMOKE}/term_in"

@@ -79,9 +79,7 @@ TEST(Solver, TrivialK3) {
 // the original vector/sort-based implementation, and the bitset/arena core
 // must reproduce them exactly. Any future "optimization" that changes the
 // candidate ordering, the freshness tie-break, or the pruning sequence
-// trips these immediately. (The n=12 proof at budget 18 — 39,310,429
-// nodes — is pinned out-of-band in the perf harness; it is too slow for
-// the unit tier.)
+// trips these immediately.
 
 struct SearchGolden {
   std::uint32_t n;
@@ -138,6 +136,73 @@ TEST(SolverGolden, InfeasibleProofNodesPinned) {
     EXPECT_FALSE(res.found) << "n=" << g.n;
     EXPECT_TRUE(res.exhausted) << "n=" << g.n;
     EXPECT_EQ(res.nodes, g.nodes) << "n=" << g.n;
+  }
+}
+
+// The largest proof the unit tier runs: under a second in Release. One
+// test per worker count keeps each well inside the per-test timeout of a
+// sanitized Debug build.
+TEST(SolverGolden, N12ProofNodesPinned) {
+  const auto res = solve_with_budget(12, rho(12) - 1);
+  EXPECT_FALSE(res.found);
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_EQ(res.nodes, 39'310'429u);
+}
+
+TEST(SolverGolden, N12ProofNodesPinnedOnTwoThreads) {
+  const auto res = solve_with_budget_parallel(12, rho(12) - 1, {}, 2);
+  EXPECT_FALSE(res.found);
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_EQ(res.nodes, 39'310'429u);
+}
+
+// Node accounting under a cap. Nodes 1..max_nodes are granted and node
+// max_nodes + 1 is counted when it finds the budget spent, whether or not
+// the search enters it; from the golden total up the cap changes nothing.
+// The sweep covers every cap within one of the 4096-node stop cadence's
+// multiples and of the total, plus a stride through the rest, serially
+// and on one parallel worker.
+TEST(SolverGolden, NodeCountUnderEveryCapIsExact) {
+  struct Case {
+    std::uint32_t n;
+    std::uint64_t budget;
+    std::uint64_t total;
+    bool found;
+  };
+  const Case cases[] = {{8, rho(8) - 1, 9823, false}, {13, rho(13), 819, true}};
+  for (const Case& c : cases) {
+    const auto golden = solve_with_budget(c.n, c.budget);
+    ASSERT_EQ(golden.nodes, c.total);
+    ASSERT_EQ(golden.found, c.found);
+    ASSERT_TRUE(golden.exhausted);
+
+    std::set<std::uint64_t> caps;
+    for (const std::uint64_t m : {std::uint64_t{4096}, std::uint64_t{8192}, c.total})
+      for (const std::uint64_t cap : {m - 1, m, m + 1}) caps.insert(cap);
+    for (std::uint64_t cap = 0; cap < c.total + 200; cap += 97) caps.insert(cap);
+
+    for (const std::uint64_t cap : caps) {
+      SolverOptions opts;
+      opts.max_nodes = cap;
+      const auto res = solve_with_budget(c.n, c.budget, opts);
+      const std::string where =
+          "n=" + std::to_string(c.n) + " max_nodes=" + std::to_string(cap);
+      if (cap < c.total) {
+        EXPECT_EQ(res.nodes, cap + 1) << where;
+        EXPECT_FALSE(res.found) << where;
+        EXPECT_FALSE(res.exhausted) << where;
+      } else {
+        EXPECT_EQ(res.nodes, c.total) << where;
+        EXPECT_EQ(res.found, c.found) << where;
+        EXPECT_TRUE(res.exhausted) << where;
+        EXPECT_EQ(to_string(res.cover), to_string(golden.cover)) << where;
+      }
+      const auto par = solve_with_budget_parallel(c.n, c.budget, opts, 1);
+      EXPECT_EQ(par.nodes, res.nodes) << where;
+      EXPECT_EQ(par.found, res.found) << where;
+      EXPECT_EQ(par.exhausted, res.exhausted) << where;
+      EXPECT_EQ(to_string(par.cover), to_string(res.cover)) << where;
+    }
   }
 }
 
